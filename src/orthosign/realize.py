@@ -8,6 +8,13 @@ terms push zero-pattern entries to zero.  Plain gradient descent with
 backtracking line search, restarted from random bases, is enough at these
 orders.
 
+All restarts of one search advance in lock step: each round evaluates one
+trial point per live restart in a single batched kernel on (R, n, n) stacks,
+while every restart keeps its own step size and stop rules.  The determinism
+contract is that of running them one after another: restart r draws from its
+own generator seeded by (rng_seed, r), and the lowest-index success wins,
+with bit-identical results.  refine_from is the same engine with one restart.
+
 A numerical find can be promoted to a certificate: every entry is replaced by
 its best rational approximation with bounded denominator and the result is
 re-verified with exact arithmetic.
@@ -153,7 +160,13 @@ class _CompiledPattern:
         self.sarr = np.array(S.entries, dtype=float).reshape(S.n, S.n)
         self.nonzero = self.sarr != 0
         self.zero = ~self.nonzero
-        self.iu = np.triu_indices(S.n, 1)
+        self.eye = np.eye(S.n)
+        self.neg2sarr = -2.0 * self.sarr
+        # chart map x -> A (flattened): +1 at (i, j), -1 at (j, i) for slot (i, j)
+        iu, ju = np.triu_indices(S.n, 1)
+        self.skew = np.zeros((len(iu), S.n * S.n))
+        self.skew[np.arange(len(iu)), iu * S.n + ju] = 1.0
+        self.skew[np.arange(len(iu)), ju * S.n + iu] = -1.0
 
     def min_margin(self, Q: np.ndarray) -> float:
         if not self.nonzero.any():
@@ -181,33 +194,51 @@ def objective(S: SignPattern, Q: np.ndarray, margin: float) -> float:
         raise ValueError(f"matrix shape {Q.shape} does not match pattern order {S.n}")
     cp = _CompiledPattern(S)
     f, _, _ = _penalty_terms(cp, Q, margin)
-    return f
+    return float(f)
 
 
 def _penalty_terms(cp: _CompiledPattern, Q: np.ndarray, margin: float):
-    """(value, hinge part, gradient wrt Q)."""
+    """(value, hinge part, gradient wrt Q) for one matrix or an (R, n, n) stack.
+
+    The sums run over each matrix flattened, which adds in the same order
+    whether Q is one matrix or a stack, so a slice of a stack gets the same
+    bits as the matrix alone.
+    """
     H = np.maximum(np.where(cp.nonzero, margin - cp.sarr * Q, 0.0), 0.0)
     Z = np.where(cp.zero, Q, 0.0)
-    hinge = float(np.sum(H * H))
-    f = hinge + float(np.sum(Z * Z))
-    G = -2.0 * H * cp.sarr + 2.0 * Z
+    flat = Q.shape[:-2] + (-1,)
+    hinge = (H * H).reshape(flat).sum(-1)
+    f = hinge + (Z * Z).reshape(flat).sum(-1)
+    G = H * cp.neg2sarr + 2.0 * Z
     return f, hinge, G
 
 
-def _chart_value_grad(cp: _CompiledPattern, x: np.ndarray, base: np.ndarray, margin: float):
-    """Objective and gradient in chart coordinates at parameter vector x."""
-    n = cp.n
-    I = np.eye(n)
-    A = _skew(n, x)
+def _chart_batch(cp: _CompiledPattern, x: np.ndarray, bases: np.ndarray, margin: float):
+    """Objective and gradient in chart coordinates for R charts at once.
+
+    x is (R, m) and bases is (R, n, n); returns Q (R, n, n), f (R,),
+    hinge (R,) and grad (R, m).  Batched inv and stacked matmul work slice by
+    slice, so each slice matches the same computation on 2-D arrays exactly.
+    Every entry of x @ cp.skew has one nonzero term, so A is exact.
+    """
+    I = cp.eye
+    A = (x @ cp.skew).reshape(len(x), cp.n, cp.n)
     C = np.linalg.inv(I + A)
     M = (I - A) @ C
-    Q = base @ M
+    Q = bases @ M
     f, hinge, G = _penalty_terms(cp, Q, margin)
-    # dQ = -B (I + M) dA C  =>  df/dA = W with W as below; skew pairing gives
-    # df/dx_k = W[i,j] - W[j,i] for the upper-triangle slot k = (i,j)
-    W = -(I + M).T @ base.T @ G @ C.T
-    grad = W[cp.iu] - W.T[cp.iu]
+    # dQ = -B (I + M) dA C  =>  df/dA = W with W as below; pulling back
+    # through the chart map gives df/dx_k = W[i,j] - W[j,i] for slot k = (i,j)
+    W = -(I + M).transpose(0, 2, 1) @ bases.transpose(0, 2, 1) @ G @ C.transpose(0, 2, 1)
+    grad = W.reshape(len(x), -1) @ cp.skew.T
     return Q, f, hinge, grad
+
+
+def _chart_value_grad(cp: _CompiledPattern, x: np.ndarray, base: np.ndarray, margin: float):
+    """Objective and gradient in chart coordinates at parameter vector x: the
+    one-chart view of _chart_batch."""
+    Q, f, hinge, grad = _chart_batch(cp, np.asarray(x, dtype=float)[None], np.asarray(base, dtype=float)[None], margin)
+    return Q[0], float(f[0]), float(hinge[0]), grad[0]
 
 
 @dataclass
@@ -264,39 +295,60 @@ def _try_accept(cp: _CompiledPattern, Q: np.ndarray, hinge: float, cfg: SearchCo
     return Qz
 
 
-def _descend(cp: _CompiledPattern, base: np.ndarray, x0: np.ndarray, cfg: SearchConfig, deadline: _Deadline):
-    """Backtracking gradient descent in one Cayley chart.
+def _lockstep_descent(cp: _CompiledPattern, bases: np.ndarray, x0: np.ndarray, cfg: SearchConfig,
+                      deadline: _Deadline):
+    """Backtracking gradient descent in R Cayley charts, advanced in lock step.
 
-    Returns (accepted Qz or None, raw Q, x, iterations used).
+    Restart k starts at x0[k] in the chart centred at bases[k] and keeps its
+    own step size, Armijo test, iteration count and stop rules, exactly as if
+    it ran alone; each round evaluates one trial point for every live restart
+    in one batched call.  When restart k succeeds, restarts above k are
+    dropped, so the lowest-index success wins.  The deadline is checked
+    before the first round and every 64 rounds; on expiry the lowest-index
+    success so far is returned.
+
+    Returns (restart k, accepted Qz, raw Q, iterations used) or None.
     """
-    x = np.asarray(x0, dtype=float)
-    Q, f, hinge, g = _chart_value_grad(cp, x, base, cfg.margin)
-    Qz = _try_accept(cp, Q, hinge, cfg)
-    if Qz is not None:
-        return Qz, Q, x, 0
-    step = cfg.step_init
-    for it in range(1, cfg.max_iters + 1):
-        gnorm2 = float(g @ g)
-        if gnorm2 <= 1e-30:
-            return None, Q, x, it - 1
-        accepted = False
-        while step >= cfg.step_min:
-            xn = x - step * g
-            Qn, fn, hn, gn = _chart_value_grad(cp, xn, base, cfg.margin)
-            if fn <= f - cfg.armijo * step * gnorm2:
-                accepted = True
-                break
-            step *= cfg.step_shrink
-        if not accepted:
-            return None, Q, x, it - 1
-        x, Q, f, hinge, g = xn, Qn, fn, hn, gn
-        Qz = _try_accept(cp, Q, hinge, cfg)
-        if Qz is not None:
-            return Qz, Q, x, it
-        step = min(step * cfg.step_grow, cfg.step_init)
-        if it % 64 == 0 and deadline.exceeded():
-            return None, Q, x, it
-    return None, Q, x, cfg.max_iters
+    slot = np.arange(len(bases))
+    x = xt = x0
+    f = g = gnorm2 = None
+    step = np.full(len(slot), cfg.step_init)
+    it = np.zeros(len(slot), dtype=int)
+    best = None
+    rounds = 0
+    while len(slot):
+        if rounds % 64 == 0 and deadline.exceeded():
+            break
+        Qt, ft, ht, gt = _chart_batch(cp, xt, bases, cfg.margin)
+        if rounds == 0:
+            moved = np.ones(len(slot), dtype=bool)
+            x, f, g = xt, ft, gt
+        else:
+            moved = ft <= f - cfg.armijo * step * gnorm2
+            x = np.where(moved[:, None], xt, x)
+            f = np.where(moved, ft, f)
+            g = np.where(moved[:, None], gt, g)
+            step = np.where(moved, np.minimum(step * cfg.step_grow, cfg.step_init), step * cfg.step_shrink)
+        # g[:, None, :] @ g[:, :, None] adds like the 1-D dot g @ g (einsum does
+        # not); rows of restarts that did not move get their old value back
+        gnorm2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+        rounds += 1
+        cut = len(slot)
+        if (ht == 0.0).any():
+            for k in np.flatnonzero(moved & (ht == 0.0)):
+                Qz = _try_accept(cp, Qt[k], ht[k], cfg)
+                if Qz is not None:
+                    best = (int(slot[k]), Qz, Qt[k], int(it[k]))
+                    cut = k
+                    break
+        it = it + moved
+        live = (it <= cfg.max_iters) & (gnorm2 > 1e-30) & (step >= cfg.step_min)
+        live[cut:] = False
+        if not live.all():
+            slot, bases, x, f, g, gnorm2, step, it = (
+                a[live] for a in (slot, bases, x, f, g, gnorm2, step, it))
+        xt = x - step[:, None] * g
+    return best
 
 
 def _random_signed_perm(rng: np.random.Generator, n: int, det_target: Optional[int]) -> np.ndarray:
@@ -314,12 +366,12 @@ def _random_signed_perm(rng: np.random.Generator, n: int, det_target: Optional[i
     return B
 
 
-def _assemble(cp: _CompiledPattern, Qz: np.ndarray, Q_raw: np.ndarray, cfg: SearchConfig,
-              restart_index: int, iterations: int) -> RealizationResult:
+def _assemble(cp: _CompiledPattern, cfg: SearchConfig, restart_index: int, Qz: np.ndarray,
+              Q_raw: np.ndarray, iterations: int) -> RealizationResult:
     result = RealizationResult(
         q=Qz,
         det_sign=float_det_sign(Qz),
-        objective_value=objective(cp.S, Qz, cfg.margin),
+        objective_value=float(_penalty_terms(cp, Qz, cfg.margin)[0]),
         ortho_residual=ortho_residual(Qz),
         min_margin=cp.min_margin(Qz),
         max_zero_violation=cp.max_zero_violation(Q_raw),
@@ -335,8 +387,14 @@ def search_realization(S: SignPattern, target: Target, cfg: Optional[SearchConfi
     """Hunt for an orthogonal matrix with pattern S and the target determinant
     sign; None means no find within budget, never impossibility.
 
-    Deterministic for a fixed cfg.rng_seed (restart r uses its own generator
-    seeded by (rng_seed, r); the first success by restart index wins).
+    Deterministic for a fixed cfg.rng_seed: restart r draws its base and
+    starting point from its own generator seeded by (rng_seed, r), and the
+    first success by restart index wins.  All restarts run in lock step (see
+    _lockstep_descent), which finds exactly what running them one after
+    another would.  A base that already realizes S ends the range of
+    restarts at its index.  cfg.time_budget is checked before the first
+    descent round and every 64 rounds; on expiry the lowest-index success
+    found so far is returned, or None.
     """
     cfg = cfg or SearchConfig()
     det_target = _normalize_target(target)
@@ -346,9 +404,9 @@ def search_realization(S: SignPattern, target: Target, cfg: Optional[SearchConfi
     n = S.n
     m = n * (n - 1) // 2
     deadline = _Deadline(cfg.time_budget)
+    bases, x0 = [], []
+    base_find = None
     for r in range(cfg.restarts):
-        if deadline.exceeded():
-            return None
         rng = np.random.default_rng([cfg.rng_seed, r])
         side = det_target if det_target is not None else int(rng.choice((-1, 1)))
         base = _random_signed_perm(rng, n, side)
@@ -356,12 +414,13 @@ def search_realization(S: SignPattern, target: Target, cfg: Optional[SearchConfi
         _, hinge_b, _ = _penalty_terms(cp, base, cfg.margin)
         Qz = _try_accept(cp, base, hinge_b, cfg)
         if Qz is not None:
-            return _assemble(cp, Qz, base, cfg, r, 0)
-        x0 = rng.uniform(-1.0, 1.0, size=m)
-        Qz, Q_raw, _, iters = _descend(cp, base, x0, cfg, deadline)
-        if Qz is not None:
-            return _assemble(cp, Qz, Q_raw, cfg, r, iters)
-    return None
+            base_find = (r, Qz, base, 0)
+            break
+        bases.append(base)
+        x0.append(rng.uniform(-1.0, 1.0, size=m))
+    found = _lockstep_descent(cp, np.array(bases), np.array(x0), cfg, deadline) if bases else None
+    found = found or base_find
+    return None if found is None else _assemble(cp, cfg, *found)
 
 
 def refine_from(Q0, S: SignPattern, target: Target, cfg: Optional[SearchConfig] = None) -> Optional[RealizationResult]:
@@ -382,12 +441,9 @@ def refine_from(Q0, S: SignPattern, target: Target, cfg: Optional[SearchConfig] 
     if det_target is not None and float_det_sign(base) != det_target:
         return None
     cp = _CompiledPattern(S)
-    deadline = _Deadline(cfg.time_budget)
-    x0 = np.zeros(S.n * (S.n - 1) // 2)
-    Qz, Q_raw, _, iters = _descend(cp, base, x0, cfg, deadline)
-    if Qz is None:
-        return None
-    return _assemble(cp, Qz, Q_raw, cfg, 0, iters)
+    found = _lockstep_descent(cp, base[None], np.zeros((1, S.n * (S.n - 1) // 2)), cfg,
+                              _Deadline(cfg.time_budget))
+    return None if found is None else _assemble(cp, cfg, *found)
 
 
 def rational_certify(Q, denom_bound: int, zero_tol: float = 0.0) -> Optional[RatMatrix]:

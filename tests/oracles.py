@@ -2,13 +2,19 @@
 
 Everything here is deliberately written from scratch on plain Python data
 (lists of ints/Fractions, tuples of tuples) so it shares no code path with
-the package under test.
+the package under test.  The one exception is the reference realization
+search at the end: it is the sequential, one-restart-at-a-time descent on
+2-D numpy arrays that the lock-step engine must reproduce bit for bit, so it
+reuses the package's pattern masks, base drawing, acceptance test and result
+assembly and keeps only the descent arithmetic to itself.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 
 def det_cofactor(rows):
@@ -76,3 +82,100 @@ def grid_scale(grid, c):
 
 def frac_grid(rows):
     return tuple(tuple(Fraction(e) for e in row) for row in rows)
+
+
+# -- sequential reference for realize.search_realization / refine_from -----------
+
+def reference_chart_value_grad(cp, x, base, margin):
+    """Objective and chart gradient at one parameter vector, on 2-D arrays."""
+    n = cp.n
+    I = np.eye(n)
+    iu = np.triu_indices(n, 1)
+    A = np.zeros((n, n))
+    A[iu] = x
+    A -= A.T
+    C = np.linalg.inv(I + A)
+    M = (I - A) @ C
+    Q = base @ M
+    H = np.maximum(np.where(cp.nonzero, margin - cp.sarr * Q, 0.0), 0.0)
+    Z = np.where(cp.zero, Q, 0.0)
+    hinge = float(np.sum(H * H))
+    f = hinge + float(np.sum(Z * Z))
+    G = -2.0 * H * cp.sarr + 2.0 * Z
+    W = -(I + M).T @ base.T @ G @ C.T
+    grad = W[iu] - W.T[iu]
+    return Q, f, hinge, grad
+
+
+def reference_descend(cp, base, x0, cfg):
+    """Backtracking gradient descent in one Cayley chart (no time budget).
+
+    Returns (accepted Qz or None, raw Q, iterations used).
+    """
+    from orthosign.realize import _try_accept
+
+    x = np.asarray(x0, dtype=float)
+    Q, f, hinge, g = reference_chart_value_grad(cp, x, base, cfg.margin)
+    Qz = _try_accept(cp, Q, hinge, cfg)
+    if Qz is not None:
+        return Qz, Q, 0
+    step = cfg.step_init
+    for it in range(1, cfg.max_iters + 1):
+        gnorm2 = float(g @ g)
+        if gnorm2 <= 1e-30:
+            return None, Q, it - 1
+        accepted = False
+        while step >= cfg.step_min:
+            xn = x - step * g
+            Qn, fn, hn, gn = reference_chart_value_grad(cp, xn, base, cfg.margin)
+            if fn <= f - cfg.armijo * step * gnorm2:
+                accepted = True
+                break
+            step *= cfg.step_shrink
+        if not accepted:
+            return None, Q, it - 1
+        x, Q, f, hinge, g = xn, Qn, fn, hn, gn
+        Qz = _try_accept(cp, Q, hinge, cfg)
+        if Qz is not None:
+            return Qz, Q, it
+        step = min(step * cfg.step_grow, cfg.step_init)
+    return None, Q, cfg.max_iters
+
+
+def reference_search_realization(S, target, cfg):
+    """Restarts one after another; the first success by restart index wins."""
+    from orthosign.realize import (_assemble, _CompiledPattern, _normalize_target, _penalty_terms,
+                                   _random_signed_perm, _try_accept)
+    from orthosign.signpat import necessary_check
+
+    det_target = _normalize_target(target)
+    if not necessary_check(S).passed:
+        return None
+    cp = _CompiledPattern(S)
+    m = S.n * (S.n - 1) // 2
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.rng_seed, r])
+        side = det_target if det_target is not None else int(rng.choice((-1, 1)))
+        base = _random_signed_perm(rng, S.n, side)
+        Qz = _try_accept(cp, base, _penalty_terms(cp, base, cfg.margin)[1], cfg)
+        if Qz is not None:
+            return _assemble(cp, cfg, r, Qz, base, 0)
+        x0 = rng.uniform(-1.0, 1.0, size=m)
+        Qz, Q_raw, iters = reference_descend(cp, base, x0, cfg)
+        if Qz is not None:
+            return _assemble(cp, cfg, r, Qz, Q_raw, iters)
+    return None
+
+
+def reference_refine_from(Q0, S, target, cfg):
+    """One descent in the chart centred at the projected seed."""
+    from orthosign.realize import (_assemble, _CompiledPattern, _normalize_target, float_det_sign,
+                                   reorthonormalize)
+
+    det_target = _normalize_target(target)
+    base = reorthonormalize(np.asarray(Q0, dtype=float))
+    if det_target is not None and float_det_sign(base) != det_target:
+        return None
+    cp = _CompiledPattern(S)
+    Qz, Q_raw, iters = reference_descend(cp, base, np.zeros(S.n * (S.n - 1) // 2), cfg)
+    return None if Qz is None else _assemble(cp, cfg, 0, Qz, Q_raw, iters)

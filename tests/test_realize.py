@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from orthosign.realize import (
 )
 from orthosign.realize import _chart_value_grad, _CompiledPattern
 from orthosign.signpat import SignPattern, sign_pattern_of, waters_forced_sign, waters_pattern
+
+from oracles import reference_refine_from, reference_search_realization
 
 
 # -- Cayley chart ---------------------------------------------------------------
@@ -190,6 +194,43 @@ def test_search_rejects_bad_target(s3):
 
 def test_search_time_budget_zero(s3):
     assert search_realization(s3, 1, SearchConfig(rng_seed=3, time_budget=0.0)) is None
+
+
+def _assert_same_result(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert np.array_equal(got.q, want.q)
+    for name in ("det_sign", "objective_value", "ortho_residual", "min_margin", "max_zero_violation",
+                 "certificate", "restart_index", "iterations"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1])
+def test_lockstep_search_matches_sequential_reference(rng_seed, s3, pstar, q1, q2):
+    # restarts in lock step must find exactly what one-after-another finds
+    cfg = SearchConfig(restarts=4, max_iters=250, rng_seed=rng_seed)
+    cases = [(waters_pattern(n), side) for n in range(2, 6) for side in (1, -1)] + [(s3, 1), (s3, -1)]
+    for S, side in cases:
+        _assert_same_result(search_realization(S, side, cfg), reference_search_realization(S, side, cfg))
+    # a find on the last allowed iteration, and the same budget one short of it
+    want = reference_search_realization(s3, 1, cfg)
+    assert want is not None and want.iterations > 0
+    for max_iters in (want.iterations, want.iterations - 1):
+        tight = replace(cfg, max_iters=max_iters)
+        _assert_same_result(search_realization(s3, 1, tight), reference_search_realization(s3, 1, tight))
+    cfg = SearchConfig(restarts=4, max_iters=250, rng_seed=rng_seed, margin=0.01)
+    _assert_same_result(search_realization(pstar, "any", cfg), reference_search_realization(pstar, "any", cfg))
+    rng = np.random.default_rng(rng_seed)
+    iterations = []
+    for fixture in (q1, q2):
+        seed = perturb(to_float(fixture), 5e-2, rng)
+        want = reference_refine_from(seed, pstar, "any", cfg)
+        assert want is not None
+        iterations.append(want.iterations)
+        _assert_same_result(refine_from(seed, pstar, "any", cfg), want)
+    assert max(iterations) > 0
 
 
 # -- refine_from ------------------------------------------------------------------
