@@ -11,7 +11,6 @@ from .exact import (
     QuadMatrix,
     QuadRational,
     RatMatrix,
-    Rational,
     det,
     det_sign,
     is_orthogonal,
@@ -20,7 +19,7 @@ from .exact import (
     parse_matrix_json,
     sgn,
 )
-from .fixtures import FIXTURE_NAMES, get_fixture, waters
+from .fixtures import FIXTURE_NAMES, get_fixture
 from .hunt import (
     AMBIGUOUS_FOUND,
     NONE_FOUND,

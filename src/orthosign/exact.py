@@ -1,8 +1,9 @@
 """Exact linear algebra over Q and Q(sqrt2).
 
 Everything in this module is integer/fraction arithmetic: no floats are
-created or trusted anywhere.  The two matrix types are dense, row-major and
-immutable.  Orthogonality is decided by computing the Gram matrix A^T A
+created or trusted anywhere.  One dense, row-major, immutable matrix type,
+ExactMatrix, comes in two scalar domains: RatMatrix over Q and QuadMatrix
+over Q(sqrt2).  Orthogonality is decided by computing the Gram matrix A^T A
 exactly and comparing it with the identity; determinants are computed with
 fraction-free (Bareiss) elimination.
 """
@@ -10,15 +11,12 @@ fraction-free (Bareiss) elimination.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Union
-
-# Canonical exact scalar: Fraction already enforces denominator > 0,
-# gcd(|num|, den) = 1 and 0 == 0/1.
-Rational = Fraction
+from typing import Sequence
 
 
 class ParseError(ValueError):
@@ -34,7 +32,9 @@ class ParseError(ValueError):
 
 
 def sgn(x) -> int:
-    """Sign of an exact number: -1, 0 or +1."""
+    """Sign of an exact number (int, Fraction or QuadRational): -1, 0 or +1."""
+    if isinstance(x, QuadRational):
+        return x.sign()
     if x > 0:
         return 1
     if x < 0:
@@ -133,39 +133,42 @@ class QuadRational:
         return format_entry(self)
 
 
-_QUAD_ZERO = QuadRational(Fraction(0), Fraction(0))
-_QUAD_ONE = QuadRational(Fraction(1), Fraction(0))
-
-
-def _check_shape(rows: int, cols: int, n_entries: int):
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix shape {rows}x{cols} must be at least 1x1")
-    if n_entries != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {n_entries}")
-
-
 @dataclass(frozen=True)
-class RatMatrix:
-    """Dense matrix over Q, row-major entries."""
+class ExactMatrix:
+    """Dense immutable matrix over an exact scalar domain, row-major entries.
+
+    The subclasses RatMatrix (over Q) and QuadMatrix (over Q(sqrt2)) fix the
+    domain: `_coerce` maps an int, a Fraction or a domain element into it,
+    `_zero` and `_one` are its constants.  Every operation returns a matrix
+    of the operand's own subclass.
+    """
 
     rows: int
     cols: int
     entries: tuple
 
     def __post_init__(self):
-        _check_shape(self.rows, self.cols, len(self.entries))
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError(f"matrix shape {self.rows}x{self.cols} must be at least 1x1")
+        if len(self.entries) != self.rows * self.cols:
+            raise ValueError(
+                f"expected {self.rows * self.cols} entries for a {self.rows}x{self.cols} matrix, got {len(self.entries)}"
+            )
+        object.__setattr__(self, "entries", tuple(map(self._coerce, self.entries)))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        data = [Fraction(e) for r in rows for e in r]
-        return cls(len(rows), len(rows[0]), tuple(data))
+    def from_rows(cls, rows: Sequence[Sequence]):
+        rows = [tuple(r) for r in rows]
+        cols = len(rows[0]) if rows else 0
+        if any(len(r) != cols for r in rows):
+            raise ValueError(f"ragged rows: lengths {[len(r) for r in rows]}")
+        return cls(len(rows), cols, tuple(e for r in rows for e in r))
 
     @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
+    def identity(cls, n: int):
+        return cls(n, n, tuple(cls._one if i == j else cls._zero for i in range(n) for j in range(n)))
 
-    def __getitem__(self, ij) -> Fraction:
+    def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
 
@@ -175,69 +178,39 @@ class RatMatrix:
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+    def transpose(self):
+        return type(self)(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
 
-    def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
-        return RatMatrix(self.rows, self.cols, tuple(c * e for e in self.entries))
+    def scale(self, c):
+        c = self._coerce(c)
+        return type(self)(self.rows, self.cols, tuple(c * e for e in self.entries))
 
     def to_quad(self) -> "QuadMatrix":
-        return QuadMatrix(self.rows, self.cols, tuple(QuadRational.from_rational(e) for e in self.entries))
+        return QuadMatrix(self.rows, self.cols, self.entries)
 
     def __matmul__(self, other):
         return mat_mul(self, other)
 
     def __str__(self):
-        return _format_grid(self)
+        cells = [[format_entry(e) for e in self.row(i)] for i in range(self.rows)]
+        width = [max(len(r[j]) for r in cells) for j in range(self.cols)]
+        return "\n".join("[" + "  ".join(c.rjust(width[j]) for j, c in enumerate(r)) + "]" for r in cells)
 
 
-@dataclass(frozen=True)
-class QuadMatrix:
-    """Dense matrix over Q(sqrt2), row-major entries."""
+class RatMatrix(ExactMatrix):
+    """Dense matrix over Q; entries are Fractions."""
 
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        _check_shape(self.rows, self.cols, len(self.entries))
-        object.__setattr__(self, "entries", tuple(QuadRational._coerce(e) for e in self.entries))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "QuadMatrix":
-        data = [QuadRational._coerce(e) for r in rows for e in r]
-        return cls(len(rows), len(rows[0]), tuple(data))
-
-    @classmethod
-    def identity(cls, n: int) -> "QuadMatrix":
-        return cls(n, n, tuple(_QUAD_ONE if i == j else _QUAD_ZERO for i in range(n) for j in range(n)))
-
-    def __getitem__(self, ij) -> QuadRational:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def transpose(self) -> "QuadMatrix":
-        return QuadMatrix(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
-
-    def scale(self, c) -> "QuadMatrix":
-        c = QuadRational._coerce(c)
-        return QuadMatrix(self.rows, self.cols, tuple(c * e for e in self.entries))
-
-    def __matmul__(self, other):
-        return mat_mul(self, other)
-
-    def __str__(self):
-        return _format_grid(self)
+    _coerce = Fraction
+    _zero = Fraction(0)
+    _one = Fraction(1)
 
 
-ExactMatrix = Union[RatMatrix, QuadMatrix]
+class QuadMatrix(ExactMatrix):
+    """Dense matrix over Q(sqrt2); entries are QuadRationals."""
+
+    _coerce = staticmethod(QuadRational._coerce)
+    _zero = QuadRational(0, 0)
+    _one = QuadRational(1, 0)
 
 
 def mat_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
@@ -259,31 +232,12 @@ def mat_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     return type(A)(n, m, tuple(out))
 
 
-def _det_bareiss_int(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (entries are consumed)."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact by Sylvester's identity: prev divides the 2x2 minor
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def _det_bareiss(a: list[list], zero, one, div):
+    """Fraction-free (Bareiss) determinant over an integral domain.
 
-
-def _det_bareiss_field(a: list[list], zero, one):
-    """Bareiss elimination over an exact field (used for Q(sqrt2))."""
+    `div` is exact division in the domain: every quotient below is exact by
+    Sylvester's identity (prev divides the 2x2 minor).  Entries are consumed.
+    """
     n = len(a)
     sign = 1
     prev = one
@@ -299,7 +253,7 @@ def _det_bareiss_field(a: list[list], zero, one):
         pivot = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) / prev
+                a[i][j] = div(pivot * a[i][j] - a[i][k] * a[k][j], prev)
         prev = pivot
     return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
 
@@ -309,25 +263,22 @@ def det(A: ExactMatrix):
     if A.rows != A.cols:
         raise ValueError(f"determinant requires a square matrix, got {A.rows}x{A.cols}")
     n = A.rows
-    if isinstance(A, RatMatrix):
-        # clear denominators row by row, eliminate in plain integers, divide back
-        scale = 1
-        cleared = []
-        for i in range(n):
-            row = A.row(i)
-            m = lcm(*(e.denominator for e in row))
-            scale *= m
-            cleared.append([int(e * m) for e in row])
-        d = _det_bareiss_int(cleared)
-        return Fraction(d, scale)
-    work = [list(A.row(i)) for i in range(n)]
-    return _det_bareiss_field(work, _QUAD_ZERO, _QUAD_ONE)
+    if isinstance(A, QuadMatrix):
+        return _det_bareiss([list(A.row(i)) for i in range(n)], A._zero, A._one, operator.truediv)
+    # clear denominators row by row, eliminate in plain integers, divide back
+    scale = 1
+    cleared = []
+    for i in range(n):
+        row = A.row(i)
+        m = lcm(*(e.denominator for e in row))
+        scale *= m
+        cleared.append([int(e * m) for e in row])
+    return Fraction(_det_bareiss(cleared, 0, 1, operator.floordiv), scale)
 
 
 def det_sign(A: ExactMatrix) -> int:
     """Sign of the exact determinant: -1, 0 or +1."""
-    d = det(A)
-    return d.sign() if isinstance(d, QuadRational) else sgn(d)
+    return sgn(det(A))
 
 
 def is_orthogonal(A: ExactMatrix) -> bool:
@@ -417,9 +368,7 @@ def parse_matrix_json(text: str) -> ExactMatrix:
                 raise ParseError(str(e), line=i + 1, col=j + 1) from None
             quad = quad or isinstance(v, QuadRational)
             parsed.append(v)
-    if quad:
-        return QuadMatrix(rows, cols, tuple(QuadRational._coerce(v) for v in parsed))
-    return RatMatrix(rows, cols, tuple(parsed))
+    return (QuadMatrix if quad else RatMatrix)(rows, cols, tuple(parsed))
 
 
 def matrix_to_jsonable(M: ExactMatrix) -> dict:
@@ -431,8 +380,3 @@ def matrix_to_json(M: ExactMatrix) -> str:
     """Serialize an exact matrix to the JSON file format."""
     return json.dumps(matrix_to_jsonable(M), indent=1)
 
-
-def _format_grid(M: ExactMatrix) -> str:
-    cells = [[format_entry(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
-    width = [max(len(cells[i][j]) for i in range(M.rows)) for j in range(M.cols)]
-    return "\n".join("[" + "  ".join(c.rjust(width[j]) for j, c in enumerate(r)) + "]" for r in cells)

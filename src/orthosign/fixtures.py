@@ -22,7 +22,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .exact import parse_matrix_json
-from .signpat import SignPattern, waters_pattern
+from .signpat import SignPattern
 
 MATRIX_NAMES = ("q1", "q2", "r3")
 PATTERN_NAMES = ("s3", "t3", "pstar")
@@ -51,7 +51,3 @@ def get_fixture(name: str):
         return parse_matrix_json(text)
     return SignPattern.from_text(text)
 
-
-def waters(n: int) -> SignPattern:
-    """Accessor for the -1-on-diagonal-2..n family."""
-    return waters_pattern(n)

@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .exact import QuadMatrix, RatMatrix, is_orthogonal, matrix_to_jsonable
+from .exact import ExactMatrix, RatMatrix, is_orthogonal, matrix_to_jsonable
 from .signpat import SignPattern, necessary_check, perm_sign, sign_pattern_of
 
 TARGET_ANY = "any"
@@ -74,6 +74,21 @@ class SearchConfig:
         for name in ("zero_tol", "ortho_tol", "step_init", "step_min"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # restarts=0 is valid (polish given seeds only), and so is time_budget=0
+        for name in ("restarts", "max_iters"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        # a shrink factor of 1 never ends a failing Armijo backtrack
+        if not (0 < self.step_shrink < 1):
+            raise ValueError("step_shrink must lie in (0, 1)")
+        if self.step_grow < 1:
+            raise ValueError("step_grow must be at least 1")
+        if not (0 < self.armijo < 1):
+            raise ValueError("armijo must lie in (0, 1)")
+        if self.time_budget is not None and self.time_budget < 0:
+            raise ValueError("time_budget must be nonnegative")
+        if self.denom_bound is not None and self.denom_bound < 1:
+            raise ValueError("denom_bound must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -135,7 +150,7 @@ def reorthonormalize(M) -> np.ndarray:
 
 def to_float(M) -> np.ndarray:
     """Float image of an exact matrix (entries rounded once, to nearest)."""
-    if isinstance(M, (RatMatrix, QuadMatrix)):
+    if isinstance(M, ExactMatrix):
         return np.array([[float(M[i, j]) for j in range(M.cols)] for i in range(M.rows)])
     return np.asarray(M, dtype=float)
 

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .exact import ParseError, QuadMatrix, RatMatrix, sgn
+from .exact import ExactMatrix, ParseError, sgn
 
 _CHAR_OF_SIGN = {1: "+", -1: "-", 0: "0"}
 _SIGN_OF_CHAR = {"+": 1, "-": -1, "0": 0}
@@ -44,6 +44,8 @@ class SignPattern:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SignPattern":
         rows = [tuple(r) for r in rows]
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError(f"pattern of order {len(rows)} needs rows of length {len(rows)}, got {[len(r) for r in rows]}")
         return cls(len(rows), tuple(e for r in rows for e in r))
 
     @classmethod
@@ -91,13 +93,11 @@ def sign_pattern_of(M, zero_tol: float = 0.0) -> SignPattern:
     Exact matrices demand zero_tol == 0.  For float matrices, entries with
     |x| <= zero_tol count as zero.
     """
-    if isinstance(M, (RatMatrix, QuadMatrix)):
+    if isinstance(M, ExactMatrix):
         if zero_tol != 0:
             raise ValueError("zero_tol must be 0 for exact matrices")
         if M.rows != M.cols:
             raise ValueError("sign pattern is defined for square matrices")
-        if isinstance(M, QuadMatrix):
-            return SignPattern(M.rows, tuple(e.sign() for e in M.entries))
         return SignPattern(M.rows, tuple(sgn(e) for e in M.entries))
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
@@ -263,7 +263,7 @@ def act(g: GroupElement, X):
     """Apply a symmetry to a SignPattern, an exact matrix or a float matrix."""
     if isinstance(X, SignPattern):
         n = X.n
-    elif isinstance(X, (RatMatrix, QuadMatrix)):
+    elif isinstance(X, ExactMatrix):
         if X.rows != X.cols:
             raise ValueError("group acts on square matrices only")
         n = X.rows
@@ -284,7 +284,7 @@ def act(g: GroupElement, X):
             for j in range(n)
         )
         return SignPattern(n, ent)
-    if isinstance(X, (RatMatrix, QuadMatrix)):
+    if isinstance(X, ExactMatrix):
         ent = tuple(
             X[src(g.row_perm[i], g.col_perm[j])] * (g.row_signs[i] * g.col_signs[j])
             for i in range(n)
@@ -339,9 +339,8 @@ def orbit_of(S: SignPattern) -> frozenset:
     n = S.n
 
     def swap_rows(p, i):
-        rows = [list(p.row(k)) for k in range(n)]
-        rows[i], rows[i + 1] = rows[i + 1], rows[i]
-        return SignPattern.from_rows(rows)
+        e = p.entries
+        return SignPattern(n, e[: i * n] + e[(i + 1) * n : (i + 2) * n] + e[i * n : (i + 1) * n] + e[(i + 2) * n :])
 
     def neg_row0(p):
         return SignPattern(n, tuple(-e if i < n else e for i, e in enumerate(p.entries)))

@@ -178,6 +178,12 @@ def test_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_realize_rejects_negative_budget(fixture_dir, capsys):
+    # zero work must not be reported as "no realization found"
+    assert main(["realize", str(fixture_dir / "s3.pat"), "--max-iters", "-3"]) == 2
+    assert "max_iters" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["realize"])

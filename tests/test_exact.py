@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthosign.exact import (
@@ -20,6 +20,7 @@ from orthosign.exact import (
     parse_matrix_json,
     sgn,
 )
+from orthosign.signpat import GroupElement, act
 from oracles import det_cofactor, int_matmul, rational_matrix_to_grid, transpose
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -123,6 +124,28 @@ def test_mat_mul_mixed_domains_rejected(q1, r3):
     assert mat_mul(RatMatrix.identity(3).to_quad(), r3) == r3
 
 
+def test_matrix_rejects_bad_shape():
+    for domain in (RatMatrix, QuadMatrix):
+        with pytest.raises(ValueError):
+            domain(2, 2, (1, 2, 3))
+        with pytest.raises(ValueError):
+            domain.from_rows([])
+        with pytest.raises(ValueError):
+            domain.from_rows([[1, 2], [3, 4, 5], [6]])
+        with pytest.raises(ValueError):
+            domain.from_rows([[1, 2, 3], [4]])
+
+
+def test_operations_keep_domain_subclass():
+    # the exact layer is traced per domain by the type name of the operand
+    g = GroupElement((1, -1), (-1, 1), (1, 0), (0, 1), True)
+    for domain in (RatMatrix, QuadMatrix):
+        A = domain.from_rows([[1, 2], [3, 4]])
+        for M in (A, A.transpose(), A.scale(3), domain.identity(2), mat_mul(A, A), A @ A, act(g, A)):
+            assert type(M) is domain
+    assert type(RatMatrix.identity(2).to_quad()) is QuadMatrix
+
+
 # -- determinants -------------------------------------------------------------
 
 def test_det_identity():
@@ -158,12 +181,29 @@ def test_det_quad_matrix(r3):
     assert det(A) == QuadRational(2, 0)
 
 
-@settings(max_examples=60)
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n)))
+# Q(sqrt2) entries with small a, b parts; zeros are drawn often so that zero
+# pivots, row swaps and singular matrices occur in that domain too
+small_quads = st.one_of(st.just(QuadRational(0, 0)), st.builds(QuadRational, st.integers(-3, 3), st.integers(-3, 3)))
+S2 = QuadRational(0, 1)
+
+
+@settings(max_examples=120)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.one_of(
+            st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n),
+            st.lists(small_quads, min_size=n * n, max_size=n * n),
+        )
+    )
+)
+# zero pivot at step 2 (row swap), and a singular matrix (row 2 = sqrt2 * row 1)
+@example([1, 1, 1, 1, 1, 2, S2, 0, 1])
+@example([1, S2, 0, S2, 2, 0, 0, 0, 1])
 def test_det_bareiss_matches_cofactor(flat):
     n = int(len(flat) ** 0.5)
     rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    assert det(RatMatrix.from_rows(rows)) == det_cofactor(rows)
+    domain = QuadMatrix if any(isinstance(e, QuadRational) for e in flat) else RatMatrix
+    assert det(domain.from_rows(rows)) == det_cofactor(rows)
 
 
 def test_det_multiplicative():

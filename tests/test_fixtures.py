@@ -11,8 +11,6 @@ from orthosign import (
     is_orthogonal,
     necessary_check,
     sign_pattern_of,
-    waters,
-    waters_pattern,
 )
 from orthosign.fixtures import FIXTURE_NAMES, fixture_text
 
@@ -77,10 +75,6 @@ def test_pstar_first_row(pstar):
 def test_orthogonal_fixtures_pass_necessary_check(q1, q2, r3):
     for M in (q1, q2, r3):
         assert necessary_check(sign_pattern_of(M)).passed
-
-
-def test_waters_accessor():
-    assert waters(4) == waters_pattern(4)
 
 
 def test_fixture_files_are_the_parse_source(q1):

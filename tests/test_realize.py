@@ -312,3 +312,18 @@ def test_search_config_validation():
         SearchConfig(margin=0.0)
     with pytest.raises(ValueError):
         SearchConfig(zero_tol=-1.0)
+    bad = [
+        {"step_shrink": 1.0},  # a failing Armijo backtrack would never end
+        {"step_shrink": 0.0},
+        {"step_grow": 0.5},
+        {"armijo": 0.0},
+        {"armijo": 1.0},
+        {"restarts": -1},
+        {"max_iters": -3},
+        {"time_budget": -1.0},
+        {"denom_bound": 0},
+    ]
+    for kw in bad:
+        with pytest.raises(ValueError):
+            SearchConfig(**kw)
+    SearchConfig(time_budget=0.0, restarts=0, max_iters=0)

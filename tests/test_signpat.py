@@ -45,6 +45,8 @@ def test_pattern_rejects_bad_entries():
         SignPattern(2, (1, 0, 2, -1))
     with pytest.raises(ValueError):
         SignPattern(2, (1, 0, -1))
+    with pytest.raises(ValueError):
+        SignPattern.from_rows([[1, 0, 0], [0, 1], [0, 0, 0, 1]])
 
 
 def test_pattern_text_errors_carry_location():
