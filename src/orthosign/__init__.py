@@ -55,6 +55,7 @@ from .signpat import (
     canonical_form,
     necessary_check,
     orbit_of,
+    orbit_representatives,
     pair_compatible,
     random_group_element,
     sign_pattern_of,

@@ -57,10 +57,6 @@ class QuadRational:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
 
-    @classmethod
-    def from_rational(cls, x) -> "QuadRational":
-        return cls(Fraction(x), Fraction(0))
-
     @staticmethod
     def _coerce(x) -> "QuadRational":
         if isinstance(x, QuadRational):

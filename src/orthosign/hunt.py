@@ -22,7 +22,7 @@ from .realize import (
     refine_from,
     search_realization,
 )
-from .signpat import SignPattern, UnsupportedOrderError, necessary_check, orbit_of
+from .signpat import SignPattern, UnsupportedOrderError, necessary_check, orbit_representatives
 
 AMBIGUOUS_FOUND = "AmbiguousFound"
 ONLY_PLUS_FOUND = "OnlyPlusFound"
@@ -173,22 +173,6 @@ def census_default_config() -> SearchConfig:
     return SearchConfig(restarts=20, max_iters=500)
 
 
-def _orbit_representatives(n: int):
-    """(representative, orbit size) for every orbit of n x n patterns,
-    in lexicographic order of the representatives."""
-    reps = []
-    seen: set = set()
-    for entries in itertools.product((-1, 0, 1), repeat=n * n):
-        S = SignPattern(n, entries)
-        if S in seen:
-            continue
-        orbit = orbit_of(S)
-        seen |= orbit
-        reps.append((min(orbit, key=lambda p: p.entries), len(orbit)))
-    reps.sort(key=lambda t: t[0].entries)
-    return reps
-
-
 def census(n: int, cfg: Optional[SearchConfig] = None, allow_order_4: bool = False) -> CensusReport:
     """Classify every n x n sign pattern up to symmetry (n <= 3 by default).
 
@@ -204,7 +188,7 @@ def census(n: int, cfg: Optional[SearchConfig] = None, allow_order_4: bool = Fal
     cfg = cfg or census_default_config()
     start = time.monotonic()
     rows = []
-    for rep, orbit_size in _orbit_representatives(n):
+    for rep, orbit_size in orbit_representatives(n):
         if not necessary_check(rep).passed:
             rows.append(CensusRow(rep, orbit_size, False, None))
             continue

@@ -6,7 +6,7 @@ exactly that pattern.  This module provides pattern extraction, the cheap
 combinatorial necessary condition (no pair of rows/columns may have a
 sign-forced nonzero dot product, no zero line), the one-parameter family with
 -1 on diagonal positions 2..n, and the symmetry group of the problem
-(row/column signed permutations plus transposition).
+(row/column signed permutations plus transposition) with its orbits.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .exact import ExactMatrix, ParseError, sgn
 
@@ -291,8 +293,6 @@ def act(g: GroupElement, X):
             for j in range(n)
         )
         return type(X)(n, n, ent)
-    import numpy as np
-
     out = np.empty((n, n), dtype=float)
     for i in range(n):
         for j in range(n):
@@ -362,3 +362,49 @@ def orbit_of(S: SignPattern) -> frozenset:
                     nxt.append(q)
         frontier = nxt
     return frozenset(seen)
+
+
+def orbit_representatives(n: int) -> list:
+    """(representative, orbit size) for every orbit of n x n patterns, in
+    lexicographic order of the representatives, each the minimum of its orbit.
+
+    Every pattern is labelled at once.  A pattern's code is its row-major
+    entries read as base-3 digits e + 1, first entry most significant, so code
+    order is entries order.  Transposition, negating row 0 and the adjacent
+    row swaps are involutions that generate the group; each becomes an int32
+    array mapping every code to its image.  Taking the minimum label over
+    those maps, then jumping labels to their own labels, until nothing
+    changes leaves every code labelled by the least code of its orbit.
+    """
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    if n > _CANONICAL_MAX_ORDER:
+        raise UnsupportedOrderError(f"orbit enumeration supports order <= {_CANONICAL_MAX_ORDER}, got {n}")
+    m = n * n
+    # axis p of `codes` is the digit of entry p, so permuting axes permutes
+    # entries and reversing an axis negates its entry
+    codes = np.arange(3**m, dtype=np.int32).reshape((3,) * m)
+    pos = np.arange(m).reshape(n, n)
+    negate_row0 = tuple(slice(None, None, -1) if p < n else slice(None) for p in range(m))
+    images = [codes.transpose(pos.T.ravel()).ravel(), codes[negate_row0].ravel()]
+    for i in range(n - 1):
+        swapped = pos.copy()
+        swapped[[i, i + 1]] = pos[[i + 1, i]]
+        images.append(codes.transpose(swapped.ravel()).ravel())
+    del codes
+
+    label = np.arange(3**m, dtype=np.int32)
+    gathered = np.empty_like(label)
+    while True:
+        before = label.copy()
+        for image in images:
+            np.minimum(label, np.take(label, image, out=gathered), out=label)
+        np.take(label, label, out=gathered)
+        label, gathered = gathered, label
+        # labels only ever decrease, so an unchanged round is the fixed point
+        if np.array_equal(label, before):
+            break
+
+    reps, sizes = np.unique(label, return_counts=True)
+    digits = reps[:, None] // 3 ** np.arange(m - 1, -1, -1) % 3 - 1
+    return [(SignPattern(n, tuple(d)), s) for d, s in zip(digits.tolist(), sizes.tolist())]

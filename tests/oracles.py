@@ -2,11 +2,13 @@
 
 Everything here is deliberately written from scratch on plain Python data
 (lists of ints/Fractions, tuples of tuples) so it shares no code path with
-the package under test.  The one exception is the reference realization
-search at the end: it is the sequential, one-restart-at-a-time descent on
-2-D numpy arrays that the lock-step engine must reproduce bit for bit, so it
-reuses the package's pattern masks, base drawing, acceptance test and result
-assembly and keeps only the descent arithmetic to itself.
+the package under test.  There are two exceptions.  The reference orbit
+enumeration closes one orbit at a time with the package's orbit_of, the path
+the one-pass labeller replaced.  The reference realization search at the end
+is the sequential, one-restart-at-a-time descent on 2-D numpy arrays that the
+lock-step engine must reproduce bit for bit, so it reuses the package's
+pattern masks, base drawing, acceptance test and result assembly and keeps
+only the descent arithmetic to itself.
 """
 
 from __future__ import annotations
@@ -70,6 +72,53 @@ def full_symmetry_group(n):
 
 def brute_force_orbit(grid, group):
     return {apply_symmetry(grid, *g) for g in group}
+
+
+def burnside_orbit_count(n):
+    """Number of orbits of n x n sign patterns, by Burnside's lemma.
+
+    An element fixes exactly the patterns that are constant up to its signs
+    along each cycle of its position map: 3 choices for a cycle whose sign
+    product is +1, only all-zero for one whose product is -1.
+    """
+    group = full_symmetry_group(n)
+    total = 0
+    for rs, cs, rp, cp, t in group:
+        # entry (i, j) of the image comes from src[(i, j)] with sign rs[i] * cs[j]
+        src = {(i, j): ((cp[j], rp[i]) if t else (rp[i], cp[j])) for i in range(n) for j in range(n)}
+        fixed, seen = 1, set()
+        for start in src:
+            if start in seen:
+                continue
+            sign, pos = 1, start
+            while pos not in seen:
+                seen.add(pos)
+                sign *= rs[pos[0]] * cs[pos[1]]
+                pos = src[pos]
+            fixed *= 3 if sign == 1 else 1
+        total += fixed
+    assert total % len(group) == 0
+    return total // len(group)
+
+
+def reference_orbit_representatives(n):
+    """(representative, orbit size) for every orbit of n x n patterns, in
+    lexicographic order, by closing one orbit at a time with orbit_of: the
+    pattern-by-pattern enumeration that signpat.orbit_representatives must
+    reproduce exactly."""
+    from orthosign.signpat import SignPattern, orbit_of
+
+    reps = []
+    seen: set = set()
+    for entries in itertools.product((-1, 0, 1), repeat=n * n):
+        S = SignPattern(n, entries)
+        if S in seen:
+            continue
+        orbit = orbit_of(S)
+        seen |= orbit
+        reps.append((min(orbit, key=lambda p: p.entries), len(orbit)))
+    reps.sort(key=lambda t: t[0].entries)
+    return reps
 
 
 def rational_matrix_to_grid(M):

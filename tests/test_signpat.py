@@ -16,6 +16,7 @@ from orthosign.signpat import (
     canonical_form,
     necessary_check,
     orbit_of,
+    orbit_representatives,
     pair_compatible,
     perm_sign,
     random_group_element,
@@ -23,7 +24,13 @@ from orthosign.signpat import (
     waters_forced_sign,
     waters_pattern,
 )
-from oracles import apply_symmetry, brute_force_orbit, full_symmetry_group
+from oracles import (
+    apply_symmetry,
+    brute_force_orbit,
+    burnside_orbit_count,
+    full_symmetry_group,
+    reference_orbit_representatives,
+)
 
 sign_vectors = st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=6)
 
@@ -288,6 +295,21 @@ def test_canonical_form_unsupported_order(pstar):
         canonical_form(pstar)
     with pytest.raises(UnsupportedOrderError):
         orbit_of(pstar)
+    with pytest.raises(UnsupportedOrderError):
+        orbit_representatives(pstar.n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_representatives_match_orbit_by_orbit_reference(n):
+    assert orbit_representatives(n) == reference_orbit_representatives(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_representatives_count_sizes_and_canonical_forms(n):
+    reps = orbit_representatives(n)
+    assert len(reps) == burnside_orbit_count(n)
+    assert sum(size for _, size in reps) == 3 ** (n * n)
+    assert all(rep == canonical_form(rep) for rep, _ in reps)
 
 
 def test_full_support_2x2_orbit_count():
