@@ -18,7 +18,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--order", type=int, default=3)
     ap.add_argument("--long-run", action="store_true",
-                    help="allow order 4 (about 20 s and 1.9 GB peak memory on 2 cores)")
+                    help="allow order 4 (about 15 s and 1.9 GB peak memory on 2 cores)")
     ap.add_argument("--restarts", type=int, default=None)
     ap.add_argument("--max-iters", type=int, default=None)
     ap.add_argument("--margin", type=float, default=None)

@@ -43,6 +43,7 @@ from .realize import (
     rational_certify,
     refine_from,
     reorthonormalize,
+    search_many,
     search_realization,
     to_float,
 )

@@ -80,7 +80,9 @@ def _add_search_flags(p: argparse.ArgumentParser, defaults: SearchConfig | None 
     p.add_argument("--margin", type=float, default=d.margin, help="required sign clearance (default %(default)s)")
     p.add_argument("--zero-tol", type=float, default=d.zero_tol, help="tolerance for zero-pattern entries (default %(default)s)")
     p.add_argument("--ortho-tol", type=float, default=d.ortho_tol, help="orthogonality residual tolerance (default %(default)s)")
-    p.add_argument("--time-budget", type=float, default=None, help="wall-clock limit in seconds (default none)")
+    p.add_argument("--time-budget", type=float, default=None,
+                   help="wall-clock limit in seconds for the whole command, all searches of a hunt or "
+                        "census together (default none)")
     p.add_argument("--denom-bound", type=int, default=None, help="certify finds with denominators up to this bound")
 
 
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="classify all patterns of a small order up to symmetry")
     p.add_argument("--order", type=int, default=None, help="pattern order (1-3; 4 with --long-run)")
     p.add_argument("--long-run", action="store_true",
-                   help="allow the order-4 census (about 20 s and 1.9 GB peak memory on 2 cores)")
+                   help="allow the order-4 census (about 15 s and 1.9 GB peak memory on 2 cores)")
     _add_search_flags(p, census_default_config())
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_census)

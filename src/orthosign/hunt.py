@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .realize import (
@@ -20,7 +20,7 @@ from .realize import (
     SearchConfig,
     TARGET_ANY,
     refine_from,
-    search_realization,
+    search_many,
 )
 from .signpat import SignPattern, UnsupportedOrderError, necessary_check, orbit_representatives
 
@@ -65,6 +65,22 @@ def _verdict(plus, minus) -> str:
     return NONE_FOUND
 
 
+def _remaining(cfg: SearchConfig, start: float) -> SearchConfig:
+    """cfg with its time budget cut by the time spent since start."""
+    if cfg.time_budget is None:
+        return cfg
+    return replace(cfg, time_budget=max(0.0, cfg.time_budget - (time.monotonic() - start)))
+
+
+def _evidence(S: SignPattern, results: dict, hunted, cfg: SearchConfig, seeds_polished: int = 0) -> DetSignEvidence:
+    budgets: dict = {"seeds_polished": seeds_polished}
+    for side, key in ((1, "plus"), (-1, "minus")):
+        res = results[side]
+        restarts = 0 if side not in hunted else cfg.restarts if res is None else res.restart_index + 1
+        budgets[key] = {"restarts": restarts, "max_iters": cfg.max_iters}
+    return DetSignEvidence(S, results[1], results[-1], _verdict(results[1], results[-1]), budgets)
+
+
 def classify_det_sign(S: SignPattern, cfg: Optional[SearchConfig] = None, seeds=None,
                       sides=(1, -1)) -> DetSignEvidence:
     """Hunt both determinant signs; optional seed matrices are polished first.
@@ -72,26 +88,21 @@ def classify_det_sign(S: SignPattern, cfg: Optional[SearchConfig] = None, seeds=
     Each seed lands on the side of its own determinant sign, so a good pair of
     seeds settles the classification without any blind search.  sides narrows
     the blind search to one determinant sign (seeds still count wherever they
-    land).
+    land).  The sides still open after polishing are hunted in one lock-step
+    batch, and cfg.time_budget bounds the whole call.
     """
     cfg = cfg or SearchConfig()
+    start = time.monotonic()
     results = {1: None, -1: None}
-    budgets: dict = {"seeds_polished": 0}
+    polished_count = 0
     for seed in seeds or ():
-        polished = refine_from(seed, S, TARGET_ANY, cfg)
-        budgets["seeds_polished"] += 1
+        polished = refine_from(seed, S, TARGET_ANY, _remaining(cfg, start))
+        polished_count += 1
         if polished is not None and results[polished.det_sign] is None:
             results[polished.det_sign] = polished
-    for side, key in ((1, "plus"), (-1, "minus")):
-        if results[side] is None and side in sides:
-            results[side] = search_realization(S, side, cfg)
-            budgets[key] = {
-                "restarts": cfg.restarts if results[side] is None else results[side].restart_index + 1,
-                "max_iters": cfg.max_iters,
-            }
-        else:
-            budgets[key] = {"restarts": 0, "max_iters": cfg.max_iters}
-    return DetSignEvidence(S, results[1], results[-1], _verdict(results[1], results[-1]), budgets)
+    hunted = [side for side in (1, -1) if results[side] is None and side in sides]
+    results.update(zip(hunted, search_many([(S, side) for side in hunted], _remaining(cfg, start))))
+    return _evidence(S, results, hunted, cfg, polished_count)
 
 
 def exhaustive_2x2_oracle() -> dict:
@@ -177,9 +188,13 @@ def census(n: int, cfg: Optional[SearchConfig] = None, allow_order_4: bool = Fal
     """Classify every n x n sign pattern up to symmetry (n <= 3 by default).
 
     Patterns failing the combinatorial necessary check are recorded as
-    NoneFound without search.  Raises CensusAmbiguityError on any ambiguous
-    verdict: at these orders each realizable pattern admits a single
-    determinant sign, so ambiguity means a numerical artifact.
+    NoneFound without search; both sides of every other orbit are hunted in
+    one lock-step batch.  cfg.time_budget bounds the whole census, orbit
+    enumeration included (that one array pass cannot be interrupted; the
+    deadline is checked after it).  Raises CensusAmbiguityError on the first
+    ambiguous verdict in orbit order: at these orders each realizable
+    pattern admits a single determinant sign, so ambiguity means a numerical
+    artifact.
     """
     if n > 4 or (n == 4 and not allow_order_4):
         raise UnsupportedOrderError(
@@ -187,16 +202,16 @@ def census(n: int, cfg: Optional[SearchConfig] = None, allow_order_4: bool = Fal
         )
     cfg = cfg or census_default_config()
     start = time.monotonic()
+    orbits = [(rep, size, necessary_check(rep).passed) for rep, size in orbit_representatives(n)]
+    problems = [(rep, side) for rep, _, passed in orbits if passed for side in (1, -1)]
+    finds = iter(search_many(problems, _remaining(cfg, start)))
     rows = []
-    for rep, orbit_size in orbit_representatives(n):
-        if not necessary_check(rep).passed:
-            rows.append(CensusRow(rep, orbit_size, False, None))
-            continue
-        ev = classify_det_sign(rep, cfg)
-        if ev.verdict == AMBIGUOUS_FOUND:
+    for rep, orbit_size, passed in orbits:
+        ev = _evidence(rep, {1: next(finds), -1: next(finds)}, (1, -1), cfg) if passed else None
+        if ev is not None and ev.verdict == AMBIGUOUS_FOUND:
             raise CensusAmbiguityError(
                 "ambiguous determinant sign reported for an order "
                 f"{n} pattern, which contradicts sign uniqueness at this order:\n{rep.to_text()}"
             )
-        rows.append(CensusRow(rep, orbit_size, True, ev))
+        rows.append(CensusRow(rep, orbit_size, passed, ev))
     return CensusReport(n, rows, cfg.margin, time.monotonic() - start)

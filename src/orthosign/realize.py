@@ -8,12 +8,15 @@ terms push zero-pattern entries to zero.  Plain gradient descent with
 backtracking line search, restarted from random bases, is enough at these
 orders.
 
-All restarts of one search advance in lock step: each round evaluates one
-trial point per live restart in a single batched kernel on (R, n, n) stacks,
-while every restart keeps its own step size and stop rules.  The determinism
-contract is that of running them one after another: restart r draws from its
-own generator seeded by (rng_seed, r), and the lowest-index success wins,
-with bit-identical results.  refine_from is the same engine with one restart.
+All restarts of a batch of searches advance in lock step: each round
+evaluates one trial point per live restart, of every search of one order, in
+a single batched kernel on (R, n, n) stacks, while every restart keeps its
+own pattern masks, step size and stop rules.  The determinism contract is
+that of running the searches, and their restarts, one after another:
+restart r draws from its own generator seeded by (rng_seed, r), and the
+lowest-index success of each search wins, with bit-identical results.
+search_realization is the one-search case and refine_from the one-restart
+case of the same engine.
 
 A numerical find can be promoted to a certificate: every entry is replaced by
 its best rational approximation with bounded denominator and the result is
@@ -22,6 +25,7 @@ re-verified with exact arithmetic.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,21 +171,33 @@ def perturb(Q: np.ndarray, eps: float, rng: np.random.Generator) -> np.ndarray:
 
 
 class _CompiledPattern:
-    """Pattern S as float mask arrays, shared across optimizer iterations."""
+    """Pattern S as float mask arrays, shared across optimizer iterations.
+
+    with_signs gives the same chart map with the masks of an (R, n, n) stack
+    of patterns of this order, one per row of a lock-step batch; the
+    per-matrix checks below need the one-pattern form.
+    """
 
     def __init__(self, S: SignPattern):
-        self.S = S
         self.n = S.n
-        self.sarr = np.array(S.entries, dtype=float).reshape(S.n, S.n)
-        self.nonzero = self.sarr != 0
-        self.zero = ~self.nonzero
+        self._set_masks(np.array(S.entries, dtype=float).reshape(S.n, S.n))
         self.eye = np.eye(S.n)
-        self.neg2sarr = -2.0 * self.sarr
         # chart map x -> A (flattened): +1 at (i, j), -1 at (j, i) for slot (i, j)
         iu, ju = np.triu_indices(S.n, 1)
         self.skew = np.zeros((len(iu), S.n * S.n))
         self.skew[np.arange(len(iu)), iu * S.n + ju] = 1.0
         self.skew[np.arange(len(iu)), ju * S.n + iu] = -1.0
+
+    def _set_masks(self, sarr: np.ndarray):
+        self.sarr = sarr
+        self.nonzero = sarr != 0
+        self.zero = ~self.nonzero
+        self.neg2sarr = -2.0 * sarr
+
+    def with_signs(self, sarr: np.ndarray) -> "_CompiledPattern":
+        out = copy.copy(self)
+        out._set_masks(sarr)
+        return out
 
     def min_margin(self, Q: np.ndarray) -> float:
         if not self.nonzero.any():
@@ -310,31 +326,34 @@ def _try_accept(cp: _CompiledPattern, Q: np.ndarray, hinge: float, cfg: SearchCo
     return Qz
 
 
-def _lockstep_descent(cp: _CompiledPattern, bases: np.ndarray, x0: np.ndarray, cfg: SearchConfig,
-                      deadline: _Deadline):
-    """Backtracking gradient descent in R Cayley charts, advanced in lock step.
+def _lockstep_descent(cps, group: np.ndarray, slot: np.ndarray, bases: np.ndarray, x0: np.ndarray,
+                      cfg: SearchConfig, deadline: _Deadline) -> dict:
+    """Backtracking gradient descent in R Cayley charts of one order, advanced
+    in lock step.
 
-    Restart k starts at x0[k] in the chart centred at bases[k] and keeps its
-    own step size, Armijo test, iteration count and stop rules, exactly as if
-    it ran alone; each round evaluates one trial point for every live restart
-    in one batched call.  When restart k succeeds, restarts above k are
-    dropped, so the lowest-index success wins.  The deadline is checked
-    before the first round and every 64 rounds; on expiry the lowest-index
-    success so far is returned.
+    Row k is restart slot[k] of search group[k], whose pattern is
+    cps[group[k]]; rows come grouped by search, in restart order within a
+    group.  Row k starts at x0[k] in the chart centred at bases[k] and keeps
+    its own step size, Armijo test, iteration count and stop rules, exactly
+    as if it ran alone; each round evaluates one trial point for every live
+    row in one batched call.  When a row succeeds, it and the higher rows of
+    its own search are dropped, so the lowest-index success of each search
+    wins.  The deadline is checked before the first round and every 64
+    rounds; on expiry the lowest-index successes so far are returned.
 
-    Returns (restart k, accepted Qz, raw Q, iterations used) or None.
+    Returns {search: (restart, accepted Qz, raw Q, iterations used)}.
     """
-    slot = np.arange(len(bases))
+    masks = cps[group[0]].with_signs(np.stack([cps[s].sarr for s in group]))
     x = xt = x0
     f = g = gnorm2 = None
     step = np.full(len(slot), cfg.step_init)
     it = np.zeros(len(slot), dtype=int)
-    best = None
+    best = {}
     rounds = 0
     while len(slot):
         if rounds % 64 == 0 and deadline.exceeded():
             break
-        Qt, ft, ht, gt = _chart_batch(cp, xt, bases, cfg.margin)
+        Qt, ft, ht, gt = _chart_batch(masks, xt, bases, cfg.margin)
         if rounds == 0:
             moved = np.ones(len(slot), dtype=bool)
             x, f, g = xt, ft, gt
@@ -348,20 +367,22 @@ def _lockstep_descent(cp: _CompiledPattern, bases: np.ndarray, x0: np.ndarray, c
         # not); rows of restarts that did not move get their old value back
         gnorm2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
         rounds += 1
-        cut = len(slot)
+        live = np.ones(len(slot), dtype=bool)
         if (ht == 0.0).any():
             for k in np.flatnonzero(moved & (ht == 0.0)):
-                Qz = _try_accept(cp, Qt[k], ht[k], cfg)
+                if not live[k]:
+                    continue  # a lower restart of its search succeeded this round
+                s = int(group[k])
+                Qz = _try_accept(cps[s], Qt[k], ht[k], cfg)
                 if Qz is not None:
-                    best = (int(slot[k]), Qz, Qt[k], int(it[k]))
-                    cut = k
-                    break
+                    best[s] = (int(slot[k]), Qz, Qt[k], int(it[k]))
+                    live[k:] &= group[k:] != s
         it = it + moved
-        live = (it <= cfg.max_iters) & (gnorm2 > 1e-30) & (step >= cfg.step_min)
-        live[cut:] = False
+        live &= (it <= cfg.max_iters) & (gnorm2 > 1e-30) & (step >= cfg.step_min)
         if not live.all():
-            slot, bases, x, f, g, gnorm2, step, it = (
-                a[live] for a in (slot, bases, x, f, g, gnorm2, step, it))
+            group, slot, bases, x, f, g, gnorm2, step, it = (
+                a[live] for a in (group, slot, bases, x, f, g, gnorm2, step, it))
+            masks = masks.with_signs(masks.sarr[live])
         xt = x - step[:, None] * g
     return best
 
@@ -398,44 +419,59 @@ def _assemble(cp: _CompiledPattern, cfg: SearchConfig, restart_index: int, Qz: n
     return result
 
 
+def search_many(problems, cfg: Optional[SearchConfig] = None) -> list:
+    """Hunt every (pattern, target) problem in one lock-step batch; entry p is
+    what search_realization(*problems[p], cfg) finds, or None.
+
+    Each problem draws its restarts exactly as alone, and the rows of all
+    problems of one order advance together (see _lockstep_descent), one
+    batch per order present.  cfg.time_budget bounds the whole call: one
+    deadline, checked before the first descent round of each order and every
+    64 rounds; on expiry each problem gets its lowest-index success so far.
+    """
+    cfg = cfg or SearchConfig()
+    deadline = _Deadline(cfg.time_budget)
+    compiled, cps, found, rows = {}, [], {}, {}
+    for p, (S, target) in enumerate(problems):
+        det_target = _normalize_target(target)
+        if not necessary_check(S).passed:
+            cps.append(None)
+            continue
+        if S not in compiled:
+            compiled[S] = _CompiledPattern(S)
+        cp = compiled[S]
+        cps.append(cp)
+        for r in range(cfg.restarts):
+            rng = np.random.default_rng([cfg.rng_seed, r])
+            side = det_target if det_target is not None else int(rng.choice((-1, 1)))
+            base = _random_signed_perm(rng, S.n, side)
+            # the base itself realizes signed-permutation patterns outright
+            Qz = _try_accept(cp, base, _penalty_terms(cp, base, cfg.margin)[1], cfg)
+            if Qz is not None:
+                found[p] = (r, Qz, base, 0)
+                break
+            rows.setdefault(S.n, []).append((p, r, base, rng.uniform(-1.0, 1.0, size=S.n * (S.n - 1) // 2)))
+    for batch in rows.values():
+        group, slot, bases, x0 = (np.array(a) for a in zip(*batch))
+        # a descent find comes from a lower restart than a base find
+        found.update(_lockstep_descent(cps, group, slot, bases, x0, cfg, deadline))
+    return [_assemble(cps[p], cfg, *found[p]) if p in found else None for p in range(len(problems))]
+
+
 def search_realization(S: SignPattern, target: Target, cfg: Optional[SearchConfig] = None) -> Optional[RealizationResult]:
     """Hunt for an orthogonal matrix with pattern S and the target determinant
     sign; None means no find within budget, never impossibility.
 
     Deterministic for a fixed cfg.rng_seed: restart r draws its base and
     starting point from its own generator seeded by (rng_seed, r), and the
-    first success by restart index wins.  All restarts run in lock step (see
-    _lockstep_descent), which finds exactly what running them one after
-    another would.  A base that already realizes S ends the range of
-    restarts at its index.  cfg.time_budget is checked before the first
+    first success by restart index wins.  All restarts run in lock step (the
+    one-problem case of search_many), which finds exactly what running them
+    one after another would.  A base that already realizes S ends the range
+    of restarts at its index.  cfg.time_budget is checked before the first
     descent round and every 64 rounds; on expiry the lowest-index success
     found so far is returned, or None.
     """
-    cfg = cfg or SearchConfig()
-    det_target = _normalize_target(target)
-    if not necessary_check(S).passed:
-        return None
-    cp = _CompiledPattern(S)
-    n = S.n
-    m = n * (n - 1) // 2
-    deadline = _Deadline(cfg.time_budget)
-    bases, x0 = [], []
-    base_find = None
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.rng_seed, r])
-        side = det_target if det_target is not None else int(rng.choice((-1, 1)))
-        base = _random_signed_perm(rng, n, side)
-        # the base itself realizes signed-permutation patterns outright
-        _, hinge_b, _ = _penalty_terms(cp, base, cfg.margin)
-        Qz = _try_accept(cp, base, hinge_b, cfg)
-        if Qz is not None:
-            base_find = (r, Qz, base, 0)
-            break
-        bases.append(base)
-        x0.append(rng.uniform(-1.0, 1.0, size=m))
-    found = _lockstep_descent(cp, np.array(bases), np.array(x0), cfg, deadline) if bases else None
-    found = found or base_find
-    return None if found is None else _assemble(cp, cfg, *found)
+    return search_many([(S, target)], cfg)[0]
 
 
 def refine_from(Q0, S: SignPattern, target: Target, cfg: Optional[SearchConfig] = None) -> Optional[RealizationResult]:
@@ -456,9 +492,10 @@ def refine_from(Q0, S: SignPattern, target: Target, cfg: Optional[SearchConfig] 
     if det_target is not None and float_det_sign(base) != det_target:
         return None
     cp = _CompiledPattern(S)
-    found = _lockstep_descent(cp, base[None], np.zeros((1, S.n * (S.n - 1) // 2)), cfg,
-                              _Deadline(cfg.time_budget))
-    return None if found is None else _assemble(cp, cfg, *found)
+    search0_restart0 = np.zeros(1, dtype=int)
+    found = _lockstep_descent([cp], search0_restart0, search0_restart0, base[None],
+                              np.zeros((1, S.n * (S.n - 1) // 2)), cfg, _Deadline(cfg.time_budget))
+    return _assemble(cp, cfg, *found[0]) if found else None
 
 
 def rational_certify(Q, denom_bound: int, zero_tol: float = 0.0) -> Optional[RatMatrix]:

@@ -8,7 +8,8 @@ the one-pass labeller replaced.  The reference realization search at the end
 is the sequential, one-restart-at-a-time descent on 2-D numpy arrays that the
 lock-step engine must reproduce bit for bit, so it reuses the package's
 pattern masks, base drawing, acceptance test and result assembly and keeps
-only the descent arithmetic to itself.
+only the descent arithmetic to itself; the reference census runs it on the
+package's orbit list.
 """
 
 from __future__ import annotations
@@ -228,3 +229,31 @@ def reference_refine_from(Q0, S, target, cfg):
     cp = _CompiledPattern(S)
     Qz, Q_raw, iters = reference_descend(cp, base, np.zeros(S.n * (S.n - 1) // 2), cfg)
     return None if Qz is None else _assemble(cp, cfg, 0, Qz, Q_raw, iters)
+
+
+def reference_census_rows(n, cfg):
+    """JSON rows of census(n, cfg) as the seed built them: the two sides of
+    every orbit that passes the necessary check searched one after another,
+    each with its own reference search, budgets and verdict spelled out."""
+    from orthosign.signpat import necessary_check, orbit_representatives
+
+    verdicts = {(True, True): "AmbiguousFound", (True, False): "OnlyPlusFound",
+                (False, True): "OnlyMinusFound", (False, False): "NoneFound"}
+    rows = []
+    for rep, size in orbit_representatives(n):
+        passed = necessary_check(rep).passed
+        verdict, evidence = "NoneFound", None
+        if passed:
+            plus, minus = (reference_search_realization(rep, side, cfg) for side in (1, -1))
+            verdict = verdicts[plus is not None, minus is not None]
+            budgets = {"seeds_polished": 0}
+            for key, res in (("plus", plus), ("minus", minus)):
+                used = cfg.restarts if res is None else res.restart_index + 1
+                budgets[key] = {"restarts": used, "max_iters": cfg.max_iters}
+            evidence = {"pattern": rep.to_text(), "verdict": verdict,
+                        "plus": None if plus is None else plus.to_json_dict(),
+                        "minus": None if minus is None else minus.to_json_dict(),
+                        "budgets": budgets}
+        rows.append({"pattern": rep.to_text(), "orbit_size": size, "necessary_pass": passed,
+                     "verdict": verdict, "evidence": evidence})
+    return rows

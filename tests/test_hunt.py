@@ -15,6 +15,8 @@ from orthosign.hunt import (
 from orthosign.realize import SearchConfig, ortho_residual, perturb, rational_certify, refine_from, to_float
 from orthosign.signpat import GroupElement, SignPattern, UnsupportedOrderError, act, sign_pattern_of, waters_pattern
 
+from oracles import reference_census_rows
+
 
 def test_classify_pstar_with_seeds(pstar, q1, q2):
     rng = np.random.default_rng(2)
@@ -84,6 +86,40 @@ def test_census_order_2_matches_oracle():
     reps = {row.pattern for row in report.rows}
     for pattern in oracle:
         assert canonical_form(pattern) in reps
+
+
+@pytest.mark.parametrize("rng_seed", [0, 7])
+def test_census_matches_side_by_side_reference(rng_seed):
+    # one batch for the whole census must give every row, budget and verdict
+    # of searching each orbit side on its own
+    cfg = SearchConfig(restarts=4, max_iters=100, rng_seed=rng_seed)
+    report = census(3, cfg)
+    want = reference_census_rows(3, cfg)
+    assert [row.to_json_dict() for row in report.rows] == want
+    searched = [row["evidence"] for row in want if row["necessary_pass"]]
+    assert any(ev["plus"] or ev["minus"] for ev in searched)
+    assert any(ev["budgets"]["plus"]["restarts"] == cfg.restarts for ev in searched)
+
+
+def test_census_time_budget_covers_whole_census(monkeypatch):
+    # a zero budget expires before the first descent round: every row is
+    # still reported, and the only finds are random bases that realize
+    # their pattern outright (seed 1 draws one for the -I orbit)
+    import orthosign.realize as realize
+
+    def no_descent(*args):
+        raise AssertionError("chart evaluated after the census deadline")
+
+    monkeypatch.setattr(realize, "_chart_batch", no_descent)
+    report = census(3, SearchConfig(restarts=20, max_iters=500, rng_seed=1, time_budget=0.0))
+    assert report.orbits_examined == 42 and report.ambiguous_count == 0
+    finds = [(row.pattern, res) for row in report.rows if row.evidence is not None
+             for res in (row.evidence.plus_result, row.evidence.minus_result) if res is not None]
+    assert finds
+    for pattern, res in finds:
+        assert res.iterations == 0 and ortho_residual(res.q) == 0.0
+        assert sign_pattern_of(res.q, 0.0) == pattern
+        assert round(np.linalg.det(res.q)) == res.det_sign
 
 
 def test_census_rejects_large_order():

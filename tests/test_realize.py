@@ -15,11 +15,19 @@ from orthosign.realize import (
     rational_certify,
     refine_from,
     reorthonormalize,
+    search_many,
     search_realization,
     to_float,
 )
 from orthosign.realize import _chart_value_grad, _CompiledPattern
-from orthosign.signpat import SignPattern, sign_pattern_of, waters_forced_sign, waters_pattern
+from orthosign.signpat import (
+    SignPattern,
+    necessary_check,
+    orbit_representatives,
+    sign_pattern_of,
+    waters_forced_sign,
+    waters_pattern,
+)
 
 from oracles import reference_refine_from, reference_search_realization
 
@@ -231,6 +239,32 @@ def test_lockstep_search_matches_sequential_reference(rng_seed, s3, pstar, q1, q
         iterations.append(want.iterations)
         _assert_same_result(refine_from(seed, pstar, "any", cfg), want)
     assert max(iterations) > 0
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1])
+def test_search_many_matches_separate_searches(rng_seed, s3, t3):
+    # one mixed batch: several orders, both sides, a necessary-check failure
+    # and a base find after descended restarts; each problem must come out
+    # exactly as its own search, and as the one-after-another reference
+    cfg = SearchConfig(restarts=4, max_iters=250, rng_seed=rng_seed)
+    base_find = SignPattern.from_rows([[1, 0], [0, -1]])
+    orbits3 = [rep for rep, _ in orbit_representatives(3) if necessary_check(rep).passed]
+    problems = ([(waters_pattern(n), side) for n in range(2, 6) for side in (1, -1)]
+                + [(s3, 1), (s3, -1), (t3, "any"), (base_find, -1)]
+                + [(rep, side) for rep in orbits3 for side in (1, -1)])
+    got = search_many(problems, cfg)
+    assert len(got) == len(problems)
+    for (S, side), res in zip(problems, got):
+        _assert_same_result(res, search_realization(S, side, cfg))
+        _assert_same_result(res, reference_search_realization(S, side, cfg))
+    assert got[problems.index((t3, "any"))] is None
+    late = got[problems.index((base_find, -1))]
+    assert late is not None and late.iterations == 0 and late.restart_index > 0
+    # descent finds and exhausted searches both occur in the batch
+    assert any(r is not None and r.iterations > 0 for r in got)
+    assert any(r is None for (S, _), r in zip(problems, got) if S is not t3)
+    assert search_many(problems, replace(cfg, restarts=0)) == [None] * len(problems)
+    assert search_many([], cfg) == []
 
 
 # -- refine_from ------------------------------------------------------------------
