@@ -193,7 +193,7 @@ def cmd_census(args, out) -> int:
     if args.order is None:
         raise ParseError("census requires --order")
     cfg = _config_from_args(args)
-    report = census(args.order, cfg, allow_order_4=args.long_run)
+    report = census(args.order, cfg)
     if args.json:
         out.write(render_json(report.to_json_dict()))
     else:
@@ -267,9 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_hunt)
 
     p = sub.add_parser("census", help="classify all patterns of a small order up to symmetry")
-    p.add_argument("--order", type=int, default=None, help="pattern order (1-3; 4 with --long-run)")
-    p.add_argument("--long-run", action="store_true",
-                   help="allow the order-4 census (about 15 s and 1.9 GB peak memory on 2 cores)")
+    p.add_argument("--order", type=int, default=None, help="pattern order (1-4)")
     _add_search_flags(p, census_default_config())
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_census)

@@ -3,8 +3,8 @@
 A pattern is classified by hunting for orthogonal realizations of both
 determinant signs.  Verdicts other than AmbiguousFound are evidence of
 absence within budget, never impossibility proofs.  The census enumerates
-every pattern of a small order up to symmetry and classifies each orbit
-representative; for orders up to 4 an ambiguous verdict would contradict the
+every pattern of order at most 4 up to symmetry and classifies each orbit
+representative; at these orders an ambiguous verdict would contradict the
 known uniqueness of the determinant sign, so it aborts the run loudly.
 """
 
@@ -22,7 +22,7 @@ from .realize import (
     refine_from,
     search_many,
 )
-from .signpat import SignPattern, UnsupportedOrderError, necessary_check, orbit_representatives
+from .signpat import SignPattern, necessary_check, orbit_representatives
 
 AMBIGUOUS_FOUND = "AmbiguousFound"
 ONLY_PLUS_FOUND = "OnlyPlusFound"
@@ -184,22 +184,17 @@ def census_default_config() -> SearchConfig:
     return SearchConfig(restarts=20, max_iters=500)
 
 
-def census(n: int, cfg: Optional[SearchConfig] = None, allow_order_4: bool = False) -> CensusReport:
-    """Classify every n x n sign pattern up to symmetry (n <= 3 by default).
+def census(n: int, cfg: Optional[SearchConfig] = None) -> CensusReport:
+    """Classify every n x n sign pattern up to symmetry (n <= 4).
 
     Patterns failing the combinatorial necessary check are recorded as
     NoneFound without search; both sides of every other orbit are hunted in
     one lock-step batch.  cfg.time_budget bounds the whole census, orbit
-    enumeration included (that one array pass cannot be interrupted; the
-    deadline is checked after it).  Raises CensusAmbiguityError on the first
-    ambiguous verdict in orbit order: at these orders each realizable
-    pattern admits a single determinant sign, so ambiguity means a numerical
-    artifact.
+    enumeration included.  Raises UnsupportedOrderError above order 4 (from
+    orbit_representatives), and CensusAmbiguityError on the first ambiguous
+    verdict in orbit order: at these orders each realizable pattern admits a
+    single determinant sign, so ambiguity means a numerical artifact.
     """
-    if n > 4 or (n == 4 and not allow_order_4):
-        raise UnsupportedOrderError(
-            f"census supports order <= 3 (order 4 behind allow_order_4), got {n}"
-        )
     cfg = cfg or census_default_config()
     start = time.monotonic()
     orbits = [(rep, size, necessary_check(rep).passed) for rep, size in orbit_representatives(n)]

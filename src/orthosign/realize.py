@@ -73,10 +73,11 @@ class SearchConfig:
     denom_bound: Optional[int] = None
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
         if not (0 < self.margin < 1):
             raise ValueError("margin must lie in (0, 1)")
         for name in ("zero_tol", "ortho_tol", "step_init", "step_min"):
-            if getattr(self, name) <= 0:
+            if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
         # restarts=0 is valid (polish given seeds only), and so is time_budget=0
         for name in ("restarts", "max_iters"):
@@ -85,11 +86,11 @@ class SearchConfig:
         # a shrink factor of 1 never ends a failing Armijo backtrack
         if not (0 < self.step_shrink < 1):
             raise ValueError("step_shrink must lie in (0, 1)")
-        if self.step_grow < 1:
+        if not (self.step_grow >= 1):
             raise ValueError("step_grow must be at least 1")
         if not (0 < self.armijo < 1):
             raise ValueError("armijo must lie in (0, 1)")
-        if self.time_budget is not None and self.time_budget < 0:
+        if self.time_budget is not None and not (self.time_budget >= 0):
             raise ValueError("time_budget must be nonnegative")
         if self.denom_bound is not None and self.denom_bound < 1:
             raise ValueError("denom_bound must be at least 1")

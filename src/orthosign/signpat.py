@@ -12,6 +12,7 @@ sign-forced nonzero dot product, no zero line), the one-parameter family with
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -368,32 +369,43 @@ def orbit_representatives(n: int) -> list:
     """(representative, orbit size) for every orbit of n x n patterns, in
     lexicographic order of the representatives, each the minimum of its orbit.
 
-    Every pattern is labelled at once.  A pattern's code is its row-major
-    entries read as base-3 digits e + 1, first entry most significant, so code
-    order is entries order.  Transposition, negating row 0 and the adjacent
-    row swaps are involutions that generate the group; each becomes an int32
-    array mapping every code to its image.  Taking the minimum label over
-    those maps, then jumping labels to their own labels, until nothing
-    changes leaves every code labelled by the least code of its orbit.
+    A pattern's code is its row-major entries read as base-3 digits e + 1,
+    first entry most significant, so code order is entries order; rows are
+    coded alike, and negating one takes its code c to 3**n - 1 - c.  The
+    labels are row classes, patterns up to row negations and row order, each
+    coded by its sorted rows, every row the lesser of v and -v: the least
+    pattern of the class, as in canonical_form.  Transposition, negating
+    column 0 and the adjacent column swaps map each class to the class of
+    its image.  Taking the minimum label over those maps, then jumping labels
+    to their own labels, until nothing changes leaves every class labelled
+    by the least class, so the least pattern, of its orbit.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
     if n > _CANONICAL_MAX_ORDER:
         raise UnsupportedOrderError(f"orbit enumeration supports order <= {_CANONICAL_MAX_ORDER}, got {n}")
-    m = n * n
-    # axis p of `codes` is the digit of entry p, so permuting axes permutes
-    # entries and reversing an axis negates its entry
-    codes = np.arange(3**m, dtype=np.int32).reshape((3,) * m)
-    pos = np.arange(m).reshape(n, n)
-    negate_row0 = tuple(slice(None, None, -1) if p < n else slice(None) for p in range(m))
-    images = [codes.transpose(pos.T.ravel()).ravel(), codes[negate_row0].ravel()]
-    for i in range(n - 1):
-        swapped = pos.copy()
-        swapped[[i, i + 1]] = pos[[i + 1, i]]
-        images.append(codes.transpose(swapped.ravel()).ravel())
-    del codes
+    width = 3**n
+    # the normalized rows are the codes 0..zero_row, the last one all zeros
+    zero_row = width // 2
+    digit_place = 3 ** np.arange(n - 1, -1, -1)
+    row_place = width ** np.arange(n - 1, -1, -1)
+    # lexicographic tuples of sorted rows, so the class codes come out sorted
+    class_rows = np.array(list(itertools.combinations_with_replacement(range(zero_row + 1), n)), dtype=np.int64)
+    codes = class_rows @ row_place
+    grids = class_rows[:, :, None] // digit_place % 3 - 1
 
-    label = np.arange(3**m, dtype=np.int32)
+    def class_of(grids):
+        rows = (grids + 1) @ digit_place
+        rows = np.sort(np.minimum(rows, width - 1 - rows), axis=1)
+        return np.searchsorted(codes, rows @ row_place)
+
+    images = [class_of(grids.transpose(0, 2, 1)), class_of(grids * ([-1] + [1] * (n - 1)))]
+    for j in range(n - 1):
+        swap = np.arange(n)
+        swap[[j, j + 1]] = swap[[j + 1, j]]
+        images.append(class_of(grids[:, :, swap]))
+
+    label = np.arange(len(codes))
     gathered = np.empty_like(label)
     while True:
         before = label.copy()
@@ -405,6 +417,11 @@ def orbit_representatives(n: int) -> list:
         if np.array_equal(label, before):
             break
 
-    reps, sizes = np.unique(label, return_counts=True)
-    digits = reps[:, None] // 3 ** np.arange(m - 1, -1, -1) % 3 - 1
-    return [(SignPattern(n, tuple(d)), s) for d, s in zip(digits.tolist(), sizes.tolist())]
+    # a class stands for n! / prod(repeat count)! row orders, times a sign
+    # for every nonzero row; the k-th copy of a row contributes the factor k
+    copy_index = np.sum(np.tril(class_rows[:, :, None] == class_rows[:, None, :]), axis=2)
+    class_size = math.factorial(n) // np.prod(copy_index, axis=1) * 2 ** np.sum(class_rows != zero_row, axis=1)
+    reps, orbit_of_class = np.unique(label, return_inverse=True)
+    sizes = np.zeros(len(reps), dtype=np.int64)
+    np.add.at(sizes, orbit_of_class, class_size)
+    return [(SignPattern(n, tuple(g)), s) for g, s in zip(grids[reps].reshape(len(reps), -1).tolist(), sizes.tolist())]

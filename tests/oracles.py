@@ -3,8 +3,8 @@
 Everything here is deliberately written from scratch on plain Python data
 (lists of ints/Fractions, tuples of tuples) so it shares no code path with
 the package under test.  There are two exceptions.  The reference orbit
-enumeration closes one orbit at a time with the package's orbit_of, the path
-the one-pass labeller replaced.  The reference realization search at the end
+enumeration closes one orbit at a time with the package's orbit_of, over
+whole patterns, not row classes.  The reference realization search at the end
 is the sequential, one-restart-at-a-time descent on 2-D numpy arrays that the
 lock-step engine must reproduce bit for bit, so it reuses the package's
 pattern masks, base drawing, acceptance test and result assembly and keeps

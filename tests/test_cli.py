@@ -153,8 +153,9 @@ def test_census_requires_order(capsys):
     assert main(["census"]) == 2
 
 
-def test_census_rejects_order_4_without_flag(capsys):
-    assert main(["census", "--order", "4"]) == 2
+def test_census_rejects_order_5(capsys):
+    assert main(["census", "--order", "5"]) == 2
+    assert "order <= 4" in capsys.readouterr().err
 
 
 def test_malformed_pattern_file(tmp_path, capsys):
@@ -182,6 +183,14 @@ def test_realize_rejects_negative_budget(fixture_dir, capsys):
     # zero work must not be reported as "no realization found"
     assert main(["realize", str(fixture_dir / "s3.pat"), "--max-iters", "-3"]) == 2
     assert "max_iters" in capsys.readouterr().err
+
+
+def test_realize_rejects_nan_tolerance(fixture_dir, capsys):
+    # every comparison with NaN is false, so a NaN tolerance must not slip
+    # through validation and let nonzero entries on zero positions pass
+    assert main(["realize", str(fixture_dir / "s3.pat"), "--zero-tol", "nan",
+                 "--restarts", "5", "--max-iters", "200"]) == 2
+    assert "zero_tol" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

@@ -122,11 +122,27 @@ def test_census_time_budget_covers_whole_census(monkeypatch):
         assert round(np.linalg.det(res.q)) == res.det_sign
 
 
+def test_census_order_4():
+    # the paper's order-4 uniqueness claim, at the default budget and seed
+    cfg = census_default_config()
+    report = census(4, cfg)
+    assert report.orbits_examined == 759 and report.ambiguous_count == 0
+    assert sum(row.orbit_size for row in report.rows) == 3**16
+    searched = [row for row in report.rows if row.necessary_pass]
+    assert len(searched) == 17
+    verdicts = [row.verdict for row in searched]
+    assert verdicts.count(ONLY_PLUS_FOUND) == 12 and verdicts.count(ONLY_MINUS_FOUND) == 5
+    for row in searched:
+        for res in (row.evidence.plus_result, row.evidence.minus_result):
+            if res is not None:
+                assert sign_pattern_of(res.q, 0.0) == row.pattern
+                assert np.linalg.slogdet(res.q)[0] == res.det_sign
+                assert ortho_residual(res.q) <= cfg.ortho_tol
+
+
 def test_census_rejects_large_order():
     with pytest.raises(UnsupportedOrderError):
-        census(4)
-    with pytest.raises(UnsupportedOrderError):
-        census(5, allow_order_4=True)
+        census(5)
 
 
 def test_census_row_budgets_default():

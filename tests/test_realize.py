@@ -356,6 +356,16 @@ def test_search_config_validation():
         {"max_iters": -3},
         {"time_budget": -1.0},
         {"denom_bound": 0},
+        # every comparison with NaN is false, so each check must fail on it
+        {"margin": float("nan")},
+        {"zero_tol": float("nan")},
+        {"ortho_tol": float("nan")},
+        {"step_init": float("nan")},
+        {"step_min": float("nan")},
+        {"step_grow": float("nan")},
+        {"step_shrink": float("nan")},
+        {"armijo": float("nan")},
+        {"time_budget": float("nan")},
     ]
     for kw in bad:
         with pytest.raises(ValueError):

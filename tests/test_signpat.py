@@ -304,12 +304,17 @@ def test_orbit_representatives_match_orbit_by_orbit_reference(n):
     assert orbit_representatives(n) == reference_orbit_representatives(n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_representatives_count_sizes_and_canonical_forms(n):
     reps = orbit_representatives(n)
-    assert len(reps) == burnside_orbit_count(n)
+    # Burnside's lemma at order 4 walks 294,912 group elements (~4 s); its
+    # count there is 759
+    assert len(reps) == (burnside_orbit_count(n) if n < 4 else 759)
     assert sum(size for _, size in reps) == 3 ** (n * n)
-    assert all(rep == canonical_form(rep) for rep, _ in reps)
+    assert all(a.entries < b.entries for (a, _), (b, _) in zip(reps, reps[1:]))
+    # canonical_form costs ~10 ms per order-4 pattern, so sample that order
+    sample = reps if n < 4 else random.Random(4).sample(reps, 60)
+    assert all(rep == canonical_form(rep) for rep, _ in sample)
 
 
 def test_full_support_2x2_orbit_count():
