@@ -3,14 +3,16 @@
 Subcommands: verify, pattern, realize, hunt, census, fixtures.  Exit codes
 follow verifier conventions: 0 for an affirmative finding, 1 for a negative
 mathematical finding (not orthogonal, nothing found, check failed), 2 for
-usage or input errors.  --json emits a machine-readable report; identical
-invocations with the same --seed produce byte-identical JSON.
+usage or input errors, 141 when the output's reader closes early.  --json
+emits a machine-readable report; identical invocations with the same --seed
+produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -285,7 +287,16 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, out)
+        code = args.handler(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed early; on devnull, the interpreter's final flush cannot raise
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
     except CensusAmbiguityError as e:
         print(f"CENSUS FAILURE: {e}", file=sys.stderr)
         return 1

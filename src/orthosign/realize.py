@@ -11,7 +11,7 @@ orders.
 All restarts of a batch of searches advance in lock step: each round
 evaluates one trial point per live restart, of every search of one order, in
 a single batched kernel on (R, n, n) stacks, while every restart keeps its
-own pattern masks, step size and stop rules.  The determinism contract is
+own pattern sign array, step size and stop rules.  The determinism contract is
 that of running the searches, and their restarts, one after another:
 restart r draws from its own generator seeded by (rng_seed, r), and the
 lowest-index success of each search wins, with bit-identical results.
@@ -25,7 +25,6 @@ re-verified with exact arithmetic.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,7 +79,7 @@ class SearchConfig:
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
         # restarts=0 is valid (polish given seeds only), and so is time_budget=0
-        for name in ("restarts", "max_iters"):
+        for name in ("restarts", "max_iters", "rng_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         # a shrink factor of 1 never ends a failing Armijo backtrack
@@ -110,15 +109,16 @@ class SkewParams:
             raise ValueError(f"expected {m} parameters for order {self.n}, got {len(self.x)}")
 
     def to_matrix(self) -> np.ndarray:
-        return _skew(self.n, np.asarray(self.x, dtype=float))
+        return (np.asarray(self.x, dtype=float) @ _chart_map(self.n)).reshape(self.n, self.n)
 
 
-def _skew(n: int, x: np.ndarray) -> np.ndarray:
-    A = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
-    A[iu] = x
-    A -= A.T
-    return A
+def _chart_map(n: int) -> np.ndarray:
+    """Chart map x -> A (flattened): +1 at (i, j), -1 at (j, i) for slot (i, j)."""
+    iu, ju = np.triu_indices(n, 1)
+    K = np.zeros((len(iu), n * n))
+    K[np.arange(len(iu)), iu * n + ju] = 1.0
+    K[np.arange(len(iu)), ju * n + iu] = -1.0
+    return K
 
 
 def cayley(A: SkewParams, base: Optional[np.ndarray] = None) -> np.ndarray:
@@ -171,49 +171,8 @@ def perturb(Q: np.ndarray, eps: float, rng: np.random.Generator) -> np.ndarray:
     return Q + rng.uniform(-eps, eps, size=Q.shape)
 
 
-class _CompiledPattern:
-    """Pattern S as float mask arrays, shared across optimizer iterations.
-
-    with_signs gives the same chart map with the masks of an (R, n, n) stack
-    of patterns of this order, one per row of a lock-step batch; the
-    per-matrix checks below need the one-pattern form.
-    """
-
-    def __init__(self, S: SignPattern):
-        self.n = S.n
-        self._set_masks(np.array(S.entries, dtype=float).reshape(S.n, S.n))
-        self.eye = np.eye(S.n)
-        # chart map x -> A (flattened): +1 at (i, j), -1 at (j, i) for slot (i, j)
-        iu, ju = np.triu_indices(S.n, 1)
-        self.skew = np.zeros((len(iu), S.n * S.n))
-        self.skew[np.arange(len(iu)), iu * S.n + ju] = 1.0
-        self.skew[np.arange(len(iu)), ju * S.n + iu] = -1.0
-
-    def _set_masks(self, sarr: np.ndarray):
-        self.sarr = sarr
-        self.nonzero = sarr != 0
-        self.zero = ~self.nonzero
-        self.neg2sarr = -2.0 * sarr
-
-    def with_signs(self, sarr: np.ndarray) -> "_CompiledPattern":
-        out = copy.copy(self)
-        out._set_masks(sarr)
-        return out
-
-    def min_margin(self, Q: np.ndarray) -> float:
-        if not self.nonzero.any():
-            return float("inf")
-        return float(np.min((self.sarr * Q)[self.nonzero]))
-
-    def max_zero_violation(self, Q: np.ndarray) -> float:
-        if not self.zero.any():
-            return 0.0
-        return float(np.max(np.abs(Q[self.zero])))
-
-    def hard_zero(self, Q: np.ndarray, zero_tol: float) -> np.ndarray:
-        out = Q.copy()
-        out[self.zero & (np.abs(Q) <= zero_tol)] = 0.0
-        return out
+def _signs(S: SignPattern) -> np.ndarray:
+    return np.array(S.entries, dtype=float).reshape(S.n, S.n)
 
 
 def objective(S: SignPattern, Q: np.ndarray, margin: float) -> float:
@@ -224,53 +183,49 @@ def objective(S: SignPattern, Q: np.ndarray, margin: float) -> float:
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (S.n, S.n):
         raise ValueError(f"matrix shape {Q.shape} does not match pattern order {S.n}")
-    cp = _CompiledPattern(S)
-    f, _, _ = _penalty_terms(cp, Q, margin)
+    f, _, _ = _penalty_terms(_signs(S), Q, margin)
     return float(f)
 
 
-def _penalty_terms(cp: _CompiledPattern, Q: np.ndarray, margin: float):
-    """(value, hinge part, gradient wrt Q) for one matrix or an (R, n, n) stack.
+def _penalty_terms(sarr: np.ndarray, Q: np.ndarray, margin: float):
+    """(value, hinge part, gradient wrt Q) for one matrix and its (n, n) sign
+    array, or an (R, n, n) stack of both.
 
     The sums run over each matrix flattened, which adds in the same order
     whether Q is one matrix or a stack, so a slice of a stack gets the same
     bits as the matrix alone.
     """
-    H = np.maximum(np.where(cp.nonzero, margin - cp.sarr * Q, 0.0), 0.0)
-    Z = np.where(cp.zero, Q, 0.0)
+    nonzero = sarr != 0
+    H = np.maximum(np.where(nonzero, margin - sarr * Q, 0.0), 0.0)
+    Z = np.where(nonzero, 0.0, Q)
     flat = Q.shape[:-2] + (-1,)
     hinge = (H * H).reshape(flat).sum(-1)
     f = hinge + (Z * Z).reshape(flat).sum(-1)
-    G = H * cp.neg2sarr + 2.0 * Z
+    G = 2.0 * (Z - H * sarr)
     return f, hinge, G
 
 
-def _chart_batch(cp: _CompiledPattern, x: np.ndarray, bases: np.ndarray, margin: float):
+def _chart_batch(sarr: np.ndarray, K: np.ndarray, x: np.ndarray, bases: np.ndarray, margin: float):
     """Objective and gradient in chart coordinates for R charts at once.
 
-    x is (R, m) and bases is (R, n, n); returns Q (R, n, n), f (R,),
-    hinge (R,) and grad (R, m).  Batched inv and stacked matmul work slice by
-    slice, so each slice matches the same computation on 2-D arrays exactly.
-    Every entry of x @ cp.skew has one nonzero term, so A is exact.
+    sarr and bases are (R, n, n), K is _chart_map(n) and x is (R, m);
+    returns Q (R, n, n), f (R,), hinge (R,) and grad (R, m).  Batched inv and
+    stacked matmul work slice by slice, so each slice matches the same
+    computation on 2-D arrays exactly.  Every entry of x @ K has one nonzero
+    term, so A is exact.
     """
-    I = cp.eye
-    A = (x @ cp.skew).reshape(len(x), cp.n, cp.n)
+    n = bases.shape[-1]
+    I = np.eye(n)
+    A = (x @ K).reshape(len(x), n, n)
     C = np.linalg.inv(I + A)
     M = (I - A) @ C
     Q = bases @ M
-    f, hinge, G = _penalty_terms(cp, Q, margin)
+    f, hinge, G = _penalty_terms(sarr, Q, margin)
     # dQ = -B (I + M) dA C  =>  df/dA = W with W as below; pulling back
     # through the chart map gives df/dx_k = W[i,j] - W[j,i] for slot k = (i,j)
     W = -(I + M).transpose(0, 2, 1) @ bases.transpose(0, 2, 1) @ G @ C.transpose(0, 2, 1)
-    grad = W.reshape(len(x), -1) @ cp.skew.T
+    grad = W.reshape(len(x), -1) @ K.T
     return Q, f, hinge, grad
-
-
-def _chart_value_grad(cp: _CompiledPattern, x: np.ndarray, base: np.ndarray, margin: float):
-    """Objective and gradient in chart coordinates at parameter vector x: the
-    one-chart view of _chart_batch."""
-    Q, f, hinge, grad = _chart_batch(cp, np.asarray(x, dtype=float)[None], np.asarray(base, dtype=float)[None], margin)
-    return Q[0], float(f[0]), float(hinge[0]), grad[0]
 
 
 @dataclass
@@ -307,33 +262,31 @@ class RealizationResult:
         }
 
 
-class _Deadline:
-    def __init__(self, budget: Optional[float]):
-        self.expiry = None if budget is None else time.monotonic() + budget
-
-    def exceeded(self) -> bool:
-        return self.expiry is not None and time.monotonic() > self.expiry
+def _deadline(cfg: SearchConfig) -> float:
+    """time.monotonic() reading at which cfg.time_budget runs out."""
+    return time.monotonic() + (np.inf if cfg.time_budget is None else cfg.time_budget)
 
 
-def _try_accept(cp: _CompiledPattern, Q: np.ndarray, hinge: float, cfg: SearchConfig):
-    """Full success check; returns the hard-zeroed matrix on acceptance."""
-    if hinge != 0.0:
+def _max_zero_violation(sarr: np.ndarray, Q: np.ndarray) -> float:
+    return float(np.max(np.abs(Q), where=sarr == 0, initial=0.0))
+
+
+def _try_accept(sarr: np.ndarray, Q: np.ndarray, hinge: float, cfg: SearchConfig):
+    """Full success check; returns the matrix with zero-pattern entries
+    snapped to exact 0 on acceptance."""
+    if hinge != 0.0 or not _max_zero_violation(sarr, Q) <= cfg.zero_tol:
         return None
-    if cp.max_zero_violation(Q) > cfg.zero_tol:
-        return None
-    Qz = cp.hard_zero(Q, cfg.zero_tol)
-    if ortho_residual(Qz) > cfg.ortho_tol:
-        return None
-    return Qz
+    Qz = np.where(sarr == 0, 0.0, Q)
+    return Qz if ortho_residual(Qz) <= cfg.ortho_tol else None
 
 
-def _lockstep_descent(cps, group: np.ndarray, slot: np.ndarray, bases: np.ndarray, x0: np.ndarray,
-                      cfg: SearchConfig, deadline: _Deadline) -> dict:
+def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bases: np.ndarray, x0: np.ndarray,
+                      cfg: SearchConfig, deadline: float) -> dict:
     """Backtracking gradient descent in R Cayley charts of one order, advanced
     in lock step.
 
-    Row k is restart slot[k] of search group[k], whose pattern is
-    cps[group[k]]; rows come grouped by search, in restart order within a
+    Row k is restart slot[k] of search group[k], whose pattern has the sign
+    array sarr[k]; rows come grouped by search, in restart order within a
     group.  Row k starts at x0[k] in the chart centred at bases[k] and keeps
     its own step size, Armijo test, iteration count and stop rules, exactly
     as if it ran alone; each round evaluates one trial point for every live
@@ -344,26 +297,24 @@ def _lockstep_descent(cps, group: np.ndarray, slot: np.ndarray, bases: np.ndarra
 
     Returns {search: (restart, accepted Qz, raw Q, iterations used)}.
     """
-    masks = cps[group[0]].with_signs(np.stack([cps[s].sarr for s in group]))
+    K = _chart_map(bases.shape[-1])
+    # against f = inf every trial passes the Armijo test, so the first round
+    # moves each row to its starting point
     x = xt = x0
-    f = g = gnorm2 = None
+    f, g, gnorm2 = np.full(len(slot), np.inf), np.zeros_like(x0), np.zeros(len(slot))
     step = np.full(len(slot), cfg.step_init)
     it = np.zeros(len(slot), dtype=int)
     best = {}
     rounds = 0
     while len(slot):
-        if rounds % 64 == 0 and deadline.exceeded():
+        if rounds % 64 == 0 and time.monotonic() > deadline:
             break
-        Qt, ft, ht, gt = _chart_batch(masks, xt, bases, cfg.margin)
-        if rounds == 0:
-            moved = np.ones(len(slot), dtype=bool)
-            x, f, g = xt, ft, gt
-        else:
-            moved = ft <= f - cfg.armijo * step * gnorm2
-            x = np.where(moved[:, None], xt, x)
-            f = np.where(moved, ft, f)
-            g = np.where(moved[:, None], gt, g)
-            step = np.where(moved, np.minimum(step * cfg.step_grow, cfg.step_init), step * cfg.step_shrink)
+        Qt, ft, ht, gt = _chart_batch(sarr, K, xt, bases, cfg.margin)
+        moved = ft <= f - cfg.armijo * step * gnorm2
+        x = np.where(moved[:, None], xt, x)
+        f = np.where(moved, ft, f)
+        g = np.where(moved[:, None], gt, g)
+        step = np.where(moved, np.minimum(step * cfg.step_grow, cfg.step_init), step * cfg.step_shrink)
         # g[:, None, :] @ g[:, :, None] adds like the 1-D dot g @ g (einsum does
         # not); rows of restarts that did not move get their old value back
         gnorm2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
@@ -374,16 +325,15 @@ def _lockstep_descent(cps, group: np.ndarray, slot: np.ndarray, bases: np.ndarra
                 if not live[k]:
                     continue  # a lower restart of its search succeeded this round
                 s = int(group[k])
-                Qz = _try_accept(cps[s], Qt[k], ht[k], cfg)
+                Qz = _try_accept(sarr[k], Qt[k], ht[k], cfg)
                 if Qz is not None:
                     best[s] = (int(slot[k]), Qz, Qt[k], int(it[k]))
                     live[k:] &= group[k:] != s
         it = it + moved
         live &= (it <= cfg.max_iters) & (gnorm2 > 1e-30) & (step >= cfg.step_min)
         if not live.all():
-            group, slot, bases, x, f, g, gnorm2, step, it = (
-                a[live] for a in (group, slot, bases, x, f, g, gnorm2, step, it))
-            masks = masks.with_signs(masks.sarr[live])
+            sarr, group, slot, bases, x, f, g, gnorm2, step, it = (
+                a[live] for a in (sarr, group, slot, bases, x, f, g, gnorm2, step, it))
         xt = x - step[:, None] * g
     return best
 
@@ -403,15 +353,15 @@ def _random_signed_perm(rng: np.random.Generator, n: int, det_target: Optional[i
     return B
 
 
-def _assemble(cp: _CompiledPattern, cfg: SearchConfig, restart_index: int, Qz: np.ndarray,
+def _assemble(sarr: np.ndarray, cfg: SearchConfig, restart_index: int, Qz: np.ndarray,
               Q_raw: np.ndarray, iterations: int) -> RealizationResult:
     result = RealizationResult(
         q=Qz,
         det_sign=float_det_sign(Qz),
-        objective_value=float(_penalty_terms(cp, Qz, cfg.margin)[0]),
+        objective_value=float(_penalty_terms(sarr, Qz, cfg.margin)[0]),
         ortho_residual=ortho_residual(Qz),
-        min_margin=cp.min_margin(Qz),
-        max_zero_violation=cp.max_zero_violation(Q_raw),
+        min_margin=float(np.min(sarr * Qz, where=sarr != 0, initial=np.inf)),
+        max_zero_violation=_max_zero_violation(sarr, Q_raw),
         restart_index=restart_index,
         iterations=iterations,
     )
@@ -431,32 +381,27 @@ def search_many(problems, cfg: Optional[SearchConfig] = None) -> list:
     64 rounds; on expiry each problem gets its lowest-index success so far.
     """
     cfg = cfg or SearchConfig()
-    deadline = _Deadline(cfg.time_budget)
-    compiled, cps, found, rows = {}, [], {}, {}
+    deadline = _deadline(cfg)
+    found, rows = {}, {}
     for p, (S, target) in enumerate(problems):
         det_target = _normalize_target(target)
         if not necessary_check(S).passed:
-            cps.append(None)
             continue
-        if S not in compiled:
-            compiled[S] = _CompiledPattern(S)
-        cp = compiled[S]
-        cps.append(cp)
+        sarr = _signs(S)
         for r in range(cfg.restarts):
             rng = np.random.default_rng([cfg.rng_seed, r])
             side = det_target if det_target is not None else int(rng.choice((-1, 1)))
             base = _random_signed_perm(rng, S.n, side)
             # the base itself realizes signed-permutation patterns outright
-            Qz = _try_accept(cp, base, _penalty_terms(cp, base, cfg.margin)[1], cfg)
+            Qz = _try_accept(sarr, base, _penalty_terms(sarr, base, cfg.margin)[1], cfg)
             if Qz is not None:
                 found[p] = (r, Qz, base, 0)
                 break
-            rows.setdefault(S.n, []).append((p, r, base, rng.uniform(-1.0, 1.0, size=S.n * (S.n - 1) // 2)))
+            rows.setdefault(S.n, []).append((sarr, p, r, base, rng.uniform(-1.0, 1.0, size=S.n * (S.n - 1) // 2)))
     for batch in rows.values():
-        group, slot, bases, x0 = (np.array(a) for a in zip(*batch))
         # a descent find comes from a lower restart than a base find
-        found.update(_lockstep_descent(cps, group, slot, bases, x0, cfg, deadline))
-    return [_assemble(cps[p], cfg, *found[p]) if p in found else None for p in range(len(problems))]
+        found.update(_lockstep_descent(*(np.array(a) for a in zip(*batch)), cfg, deadline))
+    return [_assemble(_signs(S), cfg, *found[p]) if p in found else None for p, (S, _) in enumerate(problems)]
 
 
 def search_realization(S: SignPattern, target: Target, cfg: Optional[SearchConfig] = None) -> Optional[RealizationResult]:
@@ -492,11 +437,11 @@ def refine_from(Q0, S: SignPattern, target: Target, cfg: Optional[SearchConfig] 
     base = reorthonormalize(Q0)
     if det_target is not None and float_det_sign(base) != det_target:
         return None
-    cp = _CompiledPattern(S)
+    sarr = _signs(S)
     search0_restart0 = np.zeros(1, dtype=int)
-    found = _lockstep_descent([cp], search0_restart0, search0_restart0, base[None],
-                              np.zeros((1, S.n * (S.n - 1) // 2)), cfg, _Deadline(cfg.time_budget))
-    return _assemble(cp, cfg, *found[0]) if found else None
+    found = _lockstep_descent(sarr[None], search0_restart0, search0_restart0, base[None],
+                              np.zeros((1, S.n * (S.n - 1) // 2)), cfg, _deadline(cfg))
+    return _assemble(sarr, cfg, *found[0]) if found else None
 
 
 def rational_certify(Q, denom_bound: int, zero_tol: float = 0.0) -> Optional[RatMatrix]:

@@ -7,9 +7,11 @@ enumeration closes one orbit at a time with the package's orbit_of, over
 whole patterns, not row classes.  The reference realization search at the end
 is the sequential, one-restart-at-a-time descent on 2-D numpy arrays that the
 lock-step engine must reproduce bit for bit, so it reuses the package's
-pattern masks, base drawing, acceptance test and result assembly and keeps
-only the descent arithmetic to itself; the reference census runs it on the
-package's orbit list.
+target parsing, base drawing, acceptance test and result assembly, and keeps
+its own sign arrays (built from S.entries) and descent arithmetic; the
+reference census runs it on the package's orbit list.  chart_value_grad at
+the very end is no reference: it is a one-row view of the package's batched
+chart evaluation, for the finite-difference gradient tests.
 """
 
 from __future__ import annotations
@@ -136,9 +138,13 @@ def frac_grid(rows):
 
 # -- sequential reference for realize.search_realization / refine_from -----------
 
-def reference_chart_value_grad(cp, x, base, margin):
+def sign_array(S):
+    return np.array([[float(S.entries[i * S.n + j]) for j in range(S.n)] for i in range(S.n)])
+
+
+def reference_chart_value_grad(sarr, x, base, margin):
     """Objective and chart gradient at one parameter vector, on 2-D arrays."""
-    n = cp.n
+    n = len(sarr)
     I = np.eye(n)
     iu = np.triu_indices(n, 1)
     A = np.zeros((n, n))
@@ -147,17 +153,17 @@ def reference_chart_value_grad(cp, x, base, margin):
     C = np.linalg.inv(I + A)
     M = (I - A) @ C
     Q = base @ M
-    H = np.maximum(np.where(cp.nonzero, margin - cp.sarr * Q, 0.0), 0.0)
-    Z = np.where(cp.zero, Q, 0.0)
+    H = np.maximum(np.where(sarr != 0, margin - sarr * Q, 0.0), 0.0)
+    Z = np.where(sarr == 0, Q, 0.0)
     hinge = float(np.sum(H * H))
     f = hinge + float(np.sum(Z * Z))
-    G = -2.0 * H * cp.sarr + 2.0 * Z
+    G = -2.0 * H * sarr + 2.0 * Z
     W = -(I + M).T @ base.T @ G @ C.T
     grad = W[iu] - W.T[iu]
     return Q, f, hinge, grad
 
 
-def reference_descend(cp, base, x0, cfg):
+def reference_descend(sarr, base, x0, cfg):
     """Backtracking gradient descent in one Cayley chart (no time budget).
 
     Returns (accepted Qz or None, raw Q, iterations used).
@@ -165,8 +171,8 @@ def reference_descend(cp, base, x0, cfg):
     from orthosign.realize import _try_accept
 
     x = np.asarray(x0, dtype=float)
-    Q, f, hinge, g = reference_chart_value_grad(cp, x, base, cfg.margin)
-    Qz = _try_accept(cp, Q, hinge, cfg)
+    Q, f, hinge, g = reference_chart_value_grad(sarr, x, base, cfg.margin)
+    Qz = _try_accept(sarr, Q, hinge, cfg)
     if Qz is not None:
         return Qz, Q, 0
     step = cfg.step_init
@@ -177,7 +183,7 @@ def reference_descend(cp, base, x0, cfg):
         accepted = False
         while step >= cfg.step_min:
             xn = x - step * g
-            Qn, fn, hn, gn = reference_chart_value_grad(cp, xn, base, cfg.margin)
+            Qn, fn, hn, gn = reference_chart_value_grad(sarr, xn, base, cfg.margin)
             if fn <= f - cfg.armijo * step * gnorm2:
                 accepted = True
                 break
@@ -185,7 +191,7 @@ def reference_descend(cp, base, x0, cfg):
         if not accepted:
             return None, Q, it - 1
         x, Q, f, hinge, g = xn, Qn, fn, hn, gn
-        Qz = _try_accept(cp, Q, hinge, cfg)
+        Qz = _try_accept(sarr, Q, hinge, cfg)
         if Qz is not None:
             return Qz, Q, it
         step = min(step * cfg.step_grow, cfg.step_init)
@@ -194,41 +200,39 @@ def reference_descend(cp, base, x0, cfg):
 
 def reference_search_realization(S, target, cfg):
     """Restarts one after another; the first success by restart index wins."""
-    from orthosign.realize import (_assemble, _CompiledPattern, _normalize_target, _penalty_terms,
-                                   _random_signed_perm, _try_accept)
+    from orthosign.realize import _assemble, _normalize_target, _penalty_terms, _random_signed_perm, _try_accept
     from orthosign.signpat import necessary_check
 
     det_target = _normalize_target(target)
     if not necessary_check(S).passed:
         return None
-    cp = _CompiledPattern(S)
+    sarr = sign_array(S)
     m = S.n * (S.n - 1) // 2
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.rng_seed, r])
         side = det_target if det_target is not None else int(rng.choice((-1, 1)))
         base = _random_signed_perm(rng, S.n, side)
-        Qz = _try_accept(cp, base, _penalty_terms(cp, base, cfg.margin)[1], cfg)
+        Qz = _try_accept(sarr, base, _penalty_terms(sarr, base, cfg.margin)[1], cfg)
         if Qz is not None:
-            return _assemble(cp, cfg, r, Qz, base, 0)
+            return _assemble(sarr, cfg, r, Qz, base, 0)
         x0 = rng.uniform(-1.0, 1.0, size=m)
-        Qz, Q_raw, iters = reference_descend(cp, base, x0, cfg)
+        Qz, Q_raw, iters = reference_descend(sarr, base, x0, cfg)
         if Qz is not None:
-            return _assemble(cp, cfg, r, Qz, Q_raw, iters)
+            return _assemble(sarr, cfg, r, Qz, Q_raw, iters)
     return None
 
 
 def reference_refine_from(Q0, S, target, cfg):
     """One descent in the chart centred at the projected seed."""
-    from orthosign.realize import (_assemble, _CompiledPattern, _normalize_target, float_det_sign,
-                                   reorthonormalize)
+    from orthosign.realize import _assemble, _normalize_target, float_det_sign, reorthonormalize
 
     det_target = _normalize_target(target)
     base = reorthonormalize(np.asarray(Q0, dtype=float))
     if det_target is not None and float_det_sign(base) != det_target:
         return None
-    cp = _CompiledPattern(S)
-    Qz, Q_raw, iters = reference_descend(cp, base, np.zeros(S.n * (S.n - 1) // 2), cfg)
-    return None if Qz is None else _assemble(cp, cfg, 0, Qz, Q_raw, iters)
+    sarr = sign_array(S)
+    Qz, Q_raw, iters = reference_descend(sarr, base, np.zeros(S.n * (S.n - 1) // 2), cfg)
+    return None if Qz is None else _assemble(sarr, cfg, 0, Qz, Q_raw, iters)
 
 
 def reference_census_rows(n, cfg):
@@ -257,3 +261,16 @@ def reference_census_rows(n, cfg):
         rows.append({"pattern": rep.to_text(), "orbit_size": size, "necessary_pass": passed,
                      "verdict": verdict, "evidence": evidence})
     return rows
+
+
+# -- package helper for the gradient tests --------------------------------------
+
+def chart_value_grad(S, x, base, margin):
+    """(objective, chart gradient) of realize._chart_batch at one point x in
+    the chart centred at base."""
+    from orthosign.realize import _chart_batch, _chart_map
+
+    sarr = sign_array(S)
+    _, f, _, grad = _chart_batch(sarr[None], _chart_map(S.n), np.asarray(x, dtype=float)[None],
+                                 np.asarray(base, dtype=float)[None], margin)
+    return float(f[0]), grad[0]

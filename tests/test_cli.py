@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orthosign
 from orthosign.cli import main, render_json
 from orthosign.exact import matrix_to_json, parse_matrix_json
 from orthosign.fixtures import fixture_text
@@ -185,6 +190,12 @@ def test_realize_rejects_negative_budget(fixture_dir, capsys):
     assert "max_iters" in capsys.readouterr().err
 
 
+def test_realize_rejects_negative_seed(fixture_dir, capsys):
+    # numpy's own complaint would not name the flag
+    assert main(["realize", str(fixture_dir / "s3.pat"), "--seed", "-1"]) == 2
+    assert "rng_seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_realize_rejects_nan_tolerance(fixture_dir, capsys):
     # every comparison with NaN is false, so a NaN tolerance must not slip
     # through validation and let nonzero entries on zero positions pass
@@ -214,3 +225,30 @@ def test_float_seed_file(fixture_dir, tmp_path, capsys):
     ])
     out = capsys.readouterr().out
     assert "det +1: found" in out
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_reader_exits_141_quietly(capsys):
+    assert main(["census", "--order", "2"], out=_ClosedPipe()) == 141
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_141_quietly():
+    # block-buffered, short output first meets the closed pipe when flushed;
+    # the interpreter's own final flush must then not raise again
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(orthosign.__file__).parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "orthosign", "census", "--order", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == b""

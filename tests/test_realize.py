@@ -19,7 +19,6 @@ from orthosign.realize import (
     search_realization,
     to_float,
 )
-from orthosign.realize import _chart_value_grad, _CompiledPattern
 from orthosign.signpat import (
     SignPattern,
     necessary_check,
@@ -29,7 +28,7 @@ from orthosign.signpat import (
     waters_pattern,
 )
 
-from oracles import reference_refine_from, reference_search_realization
+from oracles import chart_value_grad, reference_refine_from, reference_search_realization
 
 
 # -- Cayley chart ---------------------------------------------------------------
@@ -110,17 +109,16 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(99)
     for n in (2, 3, 5):
         S = SignPattern(n, tuple(int(v) for v in rng.integers(-1, 2, n * n)))
-        cp = _CompiledPattern(S)
         base = np.eye(n)
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, n * (n - 1) // 2)
-            _, f, _, g = _chart_value_grad(cp, x, base, 0.1)
+            _, g = chart_value_grad(S, x, base, 0.1)
             fd = np.zeros_like(x)
             for k in range(x.size):
                 xp, xm = x.copy(), x.copy()
                 xp[k] += 1e-6
                 xm[k] -= 1e-6
-                fd[k] = (_chart_value_grad(cp, xp, base, 0.1)[1] - _chart_value_grad(cp, xm, base, 0.1)[1]) / 2e-6
+                fd[k] = (chart_value_grad(S, xp, base, 0.1)[0] - chart_value_grad(S, xm, base, 0.1)[0]) / 2e-6
             # guard the denominator: some patterns make the objective constant
             # on the manifold, and then both gradients vanish
             scale = max(np.max(np.abs(g)), np.max(np.abs(fd)), 1e-6)
@@ -267,6 +265,44 @@ def test_search_many_matches_separate_searches(rng_seed, s3, t3):
     assert search_many([], cfg) == []
 
 
+@pytest.mark.parametrize("case", ["s3 search", "pstar refined from q1"])
+def test_result_fields_match_pattern_and_matrix(case, s3, pstar, q1, monkeypatch):
+    # min_margin, max_zero_violation and objective_value recomputed here from
+    # the pattern's entries, the reported q and the raw matrix it was snapped
+    # from (recorded off the acceptance test), with none of the package's masks
+    import orthosign.realize as realize
+
+    accepted = []
+    accept = realize._try_accept
+
+    def record(sarr, Q, hinge, cfg):
+        Qz = accept(sarr, Q, hinge, cfg)
+        if Qz is not None:
+            accepted.append((Q.copy(), Qz))
+        return Qz
+
+    monkeypatch.setattr(realize, "_try_accept", record)
+    if case == "s3 search":
+        S, cfg = s3, SearchConfig(rng_seed=7)
+        res = search_realization(S, "any", cfg)
+    else:
+        # the projected seed's smallest entry is below this margin, so the
+        # find takes descent steps
+        S, cfg = pstar, SearchConfig(margin=0.22, rng_seed=1)
+        res = refine_from(perturb(to_float(q1), 5e-2, np.random.default_rng(41)), S, "any", cfg)
+    assert res is not None and res.iterations > 0
+    raw = next(Q for Q, Qz in accepted if Qz is res.q)
+    signed = [s * float(q) for s, q in zip(S.entries, res.q.flat) if s != 0]
+    zeros = [float(q) for s, q in zip(S.entries, res.q.flat) if s == 0]
+    raw_zeros = [abs(float(q)) for s, q in zip(S.entries, raw.flat) if s == 0]
+    assert res.min_margin == min(signed) >= cfg.margin
+    assert res.max_zero_violation == max(raw_zeros, default=0.0) <= cfg.zero_tol
+    assert (0 < res.max_zero_violation) == bool(zeros)
+    assert all(q == 0.0 for q in zeros)
+    penalty = sum(max(cfg.margin - v, 0.0) ** 2 for v in signed) + sum(q * q for q in zeros)
+    assert res.objective_value == penalty == 0.0
+
+
 # -- refine_from ------------------------------------------------------------------
 
 def test_refine_recovers_q1_from_noise(pstar, q1):
@@ -354,6 +390,7 @@ def test_search_config_validation():
         {"armijo": 1.0},
         {"restarts": -1},
         {"max_iters": -3},
+        {"rng_seed": -1},
         {"time_budget": -1.0},
         {"denom_bound": 0},
         # every comparison with NaN is false, so each check must fail on it
