@@ -9,9 +9,13 @@ backtracking line search, restarted from random bases, is enough at these
 orders.
 
 All restarts of a batch of searches advance in lock step: each round
-evaluates one trial point per live restart, of every search of one order, in
-a single batched kernel on (R, n, n) stacks, while every restart keeps its
-own pattern sign array, step size and stop rules.  The determinism contract is
+evaluates up to three backtracking trial points per live restart, of every
+search of one order, in a single batched value pass on (R, 3, n, n) stacks,
+and a gradient pass at each restart's first trial that passes Armijo, while
+every restart keeps its own pattern sign array, step size and stop rules.
+The Armijo trial steps s, s*shrink, s*shrink*shrink are known before any is
+evaluated, so testing them together moves every restart exactly as
+one-trial-at-a-time backtracking would.  The determinism contract is
 that of running the searches, and their restarts, one after another:
 restart r draws from its own generator seeded by (rng_seed, r), and the
 lowest-index success of each search wins, with bit-identical results.
@@ -178,26 +182,34 @@ def _signs(S: SignPattern) -> np.ndarray:
 def objective(S: SignPattern, Q: np.ndarray, margin: float) -> float:
     """Penalty value: 0 iff every signed entry clears the margin and every
     zero-pattern entry is exactly zero."""
-    if margin <= 0:
+    # written so that NaN fails it
+    if not margin > 0:
         raise ValueError("margin must be positive")
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (S.n, S.n):
         raise ValueError(f"matrix shape {Q.shape} does not match pattern order {S.n}")
-    f, _, _ = _penalty_terms(_signs(S), Q, margin)
+    sarr = _signs(S)
+    f, _, _ = _penalty_terms(sarr, *_penalty_masks(sarr, margin), Q)
     return float(f)
 
 
-def _penalty_terms(sarr: np.ndarray, Q: np.ndarray, margin: float):
-    """(value, hinge part, gradient wrt Q) for one matrix and its (n, n) sign
-    array, or an (R, n, n) stack of both.
+def _penalty_masks(sarr: np.ndarray, margin: float):
+    """(zero-pattern mask, floor) of a sign array: floor is the margin on
+    signed entries and 0 on zero-pattern entries."""
+    return sarr == 0, np.where(sarr != 0, margin, 0.0)
+
+
+def _penalty_terms(sarr: np.ndarray, zero: np.ndarray, floor: np.ndarray, Q: np.ndarray):
+    """(value, hinge part, gradient wrt Q) for one matrix, or a stack of them,
+    with its sign array and _penalty_masks.
 
     The sums run over each matrix flattened, which adds in the same order
     whether Q is one matrix or a stack, so a slice of a stack gets the same
-    bits as the matrix alone.
+    bits as the matrix alone.  On zero-pattern entries floor - sarr * Q is
+    0 - (+-0) = +0, so H is 0 there.
     """
-    nonzero = sarr != 0
-    H = np.maximum(np.where(nonzero, margin - sarr * Q, 0.0), 0.0)
-    Z = np.where(nonzero, 0.0, Q)
+    H = np.maximum(floor - sarr * Q, 0.0)
+    Z = np.where(zero, Q, 0.0)
     flat = Q.shape[:-2] + (-1,)
     hinge = (H * H).reshape(flat).sum(-1)
     f = hinge + (Z * Z).reshape(flat).sum(-1)
@@ -205,27 +217,34 @@ def _penalty_terms(sarr: np.ndarray, Q: np.ndarray, margin: float):
     return f, hinge, G
 
 
-def _chart_batch(sarr: np.ndarray, K: np.ndarray, x: np.ndarray, bases: np.ndarray, margin: float):
-    """Objective and gradient in chart coordinates for R charts at once.
+def _chart_values(x: np.ndarray, K: np.ndarray, I: np.ndarray, bases: np.ndarray, sarr: np.ndarray,
+                  zero: np.ndarray, floor: np.ndarray):
+    """Value half of the chart evaluation, for any stack of chart points.
 
-    sarr and bases are (R, n, n), K is _chart_map(n) and x is (R, m);
-    returns Q (R, n, n), f (R,), hinge (R,) and grad (R, m).  Batched inv and
-    stacked matmul work slice by slice, so each slice matches the same
-    computation on 2-D arrays exactly.  Every entry of x @ K has one nonzero
-    term, so A is exact.
+    x is (..., m), K is _chart_map(n) and I the n x n identity; bases, sarr
+    and the _penalty_masks broadcast against (..., n, n).  Returns Q, f,
+    hinge and what _chart_grad needs: C = (I + A)^-1, M = (I - A) C and G,
+    the gradient of the penalty wrt Q.  Batched inv and stacked matmul work
+    slice by slice, so each slice matches the same computation on 2-D arrays
+    exactly.  Every entry of x @ K has one nonzero term, so A is exact.
     """
-    n = bases.shape[-1]
-    I = np.eye(n)
-    A = (x @ K).reshape(len(x), n, n)
+    n = len(I)
+    A = (x @ K).reshape(x.shape[:-1] + (n, n))
     C = np.linalg.inv(I + A)
     M = (I - A) @ C
     Q = bases @ M
-    f, hinge, G = _penalty_terms(sarr, Q, margin)
+    f, hinge, G = _penalty_terms(sarr, zero, floor, Q)
+    return Q, f, hinge, C, M, G
+
+
+def _chart_grad(bases: np.ndarray, C: np.ndarray, M: np.ndarray, G: np.ndarray, KT: np.ndarray,
+                I: np.ndarray) -> np.ndarray:
+    """Gradient half: chart gradient (R, m) of R points from their (R, n, n)
+    bases and the C, M and G that _chart_values returned; KT is K.T."""
     # dQ = -B (I + M) dA C  =>  df/dA = W with W as below; pulling back
     # through the chart map gives df/dx_k = W[i,j] - W[j,i] for slot k = (i,j)
     W = -(I + M).transpose(0, 2, 1) @ bases.transpose(0, 2, 1) @ G @ C.transpose(0, 2, 1)
-    grad = W.reshape(len(x), -1) @ K.T
-    return Q, f, hinge, grad
+    return W.reshape(len(W), len(KT)) @ KT
 
 
 @dataclass
@@ -280,6 +299,11 @@ def _try_accept(sarr: np.ndarray, Q: np.ndarray, hinge: float, cfg: SearchConfig
     return Qz if ortho_residual(Qz) <= cfg.ortho_tol else None
 
 
+# backtracking trials tested per row per round: three cover 99 % of the
+# accepted steps of the perfbench hunt workload, and a fourth saved no time
+_TRIALS = 3
+
+
 def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bases: np.ndarray, x0: np.ndarray,
                       cfg: SearchConfig, deadline: float) -> dict:
     """Backtracking gradient descent in R Cayley charts of one order, advanced
@@ -289,52 +313,83 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
     array sarr[k]; rows come grouped by search, in restart order within a
     group.  Row k starts at x0[k] in the chart centred at bases[k] and keeps
     its own step size, Armijo test, iteration count and stop rules, exactly
-    as if it ran alone; each round evaluates one trial point for every live
-    row in one batched call.  When a row succeeds, it and the higher rows of
-    its own search are dropped, so the lowest-index success of each search
-    wins.  The deadline is checked before the first round and every 64
-    rounds; on expiry the lowest-index successes so far are returned.
+    as if it ran alone.  Each round tests the next _TRIALS = 3 backtracking
+    trials of every live row (steps s, s*shrink, s*shrink*shrink) in one
+    batched value pass; a row moves to its first trial that passes Armijo,
+    and only the chosen points go through the gradient pass.  A row with no
+    passing trial carries on backtracking from its last trial next round, so
+    every row moves exactly as sequential backtracking would.  When a row
+    succeeds, it and the higher rows of its own search are dropped, so the
+    lowest-index success of each search wins.  The deadline is checked
+    before the first round and every 64 rounds; on expiry the lowest-index
+    successes so far are returned.
 
     Returns {search: (restart, accepted Qz, raw Q, iterations used)}.
     """
-    K = _chart_map(bases.shape[-1])
-    # against f = inf every trial passes the Armijo test, so the first round
-    # moves each row to its starting point
-    x = xt = x0
+    n = bases.shape[-1]
+    K, I = _chart_map(n), np.eye(n)
+    KT = K.T
+    # per-row constants, repeated once per call so that the value pass runs
+    # on contiguous (R, _TRIALS, n, n) stacks (broadcast (R, 1, n, n) ones
+    # made it 8-25 % slower); [:, 0] is the (R, n, n) stack
+    sarr, zero, floor, bases = (np.repeat(a[:, None], _TRIALS, 1)
+                                for a in (sarr, *_penalty_masks(sarr, cfg.margin), bases))
+    # against f = inf and g = 0 every trial is x0 and passes the Armijo test,
+    # so the first round moves each row to its starting point; a step_init
+    # below step_min then ends the row, as it ends a sequential descent
+    x = x0.copy()
     f, g, gnorm2 = np.full(len(slot), np.inf), np.zeros_like(x0), np.zeros(len(slot))
-    step = np.full(len(slot), cfg.step_init)
+    step = np.full(len(slot), max(cfg.step_init, cfg.step_min))
     it = np.zeros(len(slot), dtype=int)
     best = {}
     rounds = 0
     while len(slot):
         if rounds % 64 == 0 and time.monotonic() > deadline:
             break
-        Qt, ft, ht, gt = _chart_batch(sarr, K, xt, bases, cfg.margin)
-        moved = ft <= f - cfg.armijo * step * gnorm2
-        x = np.where(moved[:, None], xt, x)
-        f = np.where(moved, ft, f)
-        g = np.where(moved[:, None], gt, g)
-        step = np.where(moved, np.minimum(step * cfg.step_grow, cfg.step_init), step * cfg.step_shrink)
-        # g[:, None, :] @ g[:, :, None] adds like the 1-D dot g @ g (einsum does
-        # not); rows of restarts that did not move get their old value back
-        gnorm2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
         rounds += 1
-        live = np.ones(len(slot), dtype=bool)
-        if (ht == 0.0).any():
-            for k in np.flatnonzero(moved & (ht == 0.0)):
-                if not live[k]:
+        # trial steps by repeated multiplication, the bits of step *= shrink
+        T = np.empty((len(slot), _TRIALS))
+        T[:, 0] = step
+        T[:, 1:] = cfg.step_shrink
+        np.multiply.accumulate(T, axis=1, out=T)
+        xt = x[:, None] - T[:, :, None] * g[:, None]
+        Qt, ft, ht, Ct, Mt, Gt = _chart_values(xt, K, I, bases, sarr, zero, floor)
+        # a trial below step_min is one sequential backtracking never reaches
+        ok = (ft <= f[:, None] - cfg.armijo * T * gnorm2[:, None]) & (T >= cfg.step_min)
+        moved = ok.any(1)
+        k = np.flatnonzero(moved)
+        j = ok[k].argmax(1)
+        step = T[:, -1] * cfg.step_shrink
+        step[k] = np.minimum(T[k, j] * cfg.step_grow, cfg.step_init)
+        x[k], f[k] = xt[k, j], ft[k, j]
+        g[k] = gk = _chart_grad(bases[k, 0], Ct[k, j], Mt[k, j], Gt[k, j], KT, I)
+        # gk[:, None, :] @ gk[:, :, None] adds like the 1-D dot g @ g (einsum
+        # does not)
+        gnorm2[k] = (gk[:, None, :] @ gk[:, :, None])[:, 0, 0]
+        won = {}
+        # hinges are never negative, so a success needs a zero among them
+        if not ht.all():
+            hit = np.flatnonzero(ht[k, j] == 0.0)
+            # _try_accept's zero-pattern test for all hits at once (max is
+            # exact); most hits of patterns with zeros fail it
+            Qh = np.abs(Qt[k[hit], j[hit]])
+            hit = hit[np.max(Qh, axis=(1, 2), where=zero[k[hit], 0], initial=0.0) <= cfg.zero_tol]
+            for i in hit:
+                r = k[i]
+                s = int(group[r])
+                if s in won:
                     continue  # a lower restart of its search succeeded this round
-                s = int(group[k])
-                Qz = _try_accept(sarr[k], Qt[k], ht[k], cfg)
+                Qz = _try_accept(sarr[r, 0], Qt[r, j[i]], 0.0, cfg)
                 if Qz is not None:
-                    best[s] = (int(slot[k]), Qz, Qt[k], int(it[k]))
-                    live[k:] &= group[k:] != s
-        it = it + moved
-        live &= (it <= cfg.max_iters) & (gnorm2 > 1e-30) & (step >= cfg.step_min)
+                    best[s] = (int(slot[r]), Qz, Qt[r, j[i]], int(it[r]))
+                    won[s] = r
+        it += moved
+        live = (it <= cfg.max_iters) & (gnorm2 > 1e-30) & (step >= cfg.step_min)
+        for s, r in won.items():
+            live[r:] &= group[r:] != s
         if not live.all():
-            sarr, group, slot, bases, x, f, g, gnorm2, step, it = (
-                a[live] for a in (sarr, group, slot, bases, x, f, g, gnorm2, step, it))
-        xt = x - step[:, None] * g
+            sarr, zero, floor, group, slot, bases, x, f, g, gnorm2, step, it = (
+                a[live] for a in (sarr, zero, floor, group, slot, bases, x, f, g, gnorm2, step, it))
     return best
 
 
@@ -358,7 +413,7 @@ def _assemble(sarr: np.ndarray, cfg: SearchConfig, restart_index: int, Qz: np.nd
     result = RealizationResult(
         q=Qz,
         det_sign=float_det_sign(Qz),
-        objective_value=float(_penalty_terms(sarr, Qz, cfg.margin)[0]),
+        objective_value=float(_penalty_terms(sarr, *_penalty_masks(sarr, cfg.margin), Qz)[0]),
         ortho_residual=ortho_residual(Qz),
         min_margin=float(np.min(sarr * Qz, where=sarr != 0, initial=np.inf)),
         max_zero_violation=_max_zero_violation(sarr, Q_raw),
@@ -388,12 +443,13 @@ def search_many(problems, cfg: Optional[SearchConfig] = None) -> list:
         if not necessary_check(S).passed:
             continue
         sarr = _signs(S)
+        masks = _penalty_masks(sarr, cfg.margin)
         for r in range(cfg.restarts):
             rng = np.random.default_rng([cfg.rng_seed, r])
             side = det_target if det_target is not None else int(rng.choice((-1, 1)))
             base = _random_signed_perm(rng, S.n, side)
             # the base itself realizes signed-permutation patterns outright
-            Qz = _try_accept(sarr, base, _penalty_terms(sarr, base, cfg.margin)[1], cfg)
+            Qz = _try_accept(sarr, base, _penalty_terms(sarr, *masks, base)[1], cfg)
             if Qz is not None:
                 found[p] = (r, Qz, base, 0)
                 break
@@ -457,6 +513,8 @@ def rational_certify(Q, denom_bound: int, zero_tol: float = 0.0) -> Optional[Rat
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("certification expects a square matrix")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("matrix entries must be finite")
     n = Q.shape[0]
     entries = []
     for q in Q.flat:

@@ -10,8 +10,9 @@ lock-step engine must reproduce bit for bit, so it reuses the package's
 target parsing, base drawing, acceptance test and result assembly, and keeps
 its own sign arrays (built from S.entries) and descent arithmetic; the
 reference census runs it on the package's orbit list.  chart_value_grad at
-the very end is no reference: it is a one-row view of the package's batched
-chart evaluation, for the finite-difference gradient tests.
+the very end is no reference: it composes the package's value and gradient
+halves of the chart evaluation at one point, for the finite-difference
+gradient tests.
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ def reference_descend(sarr, base, x0, cfg):
 
 def reference_search_realization(S, target, cfg):
     """Restarts one after another; the first success by restart index wins."""
-    from orthosign.realize import _assemble, _normalize_target, _penalty_terms, _random_signed_perm, _try_accept
+    from orthosign.realize import (_assemble, _normalize_target, _penalty_masks, _penalty_terms,
+                                   _random_signed_perm, _try_accept)
     from orthosign.signpat import necessary_check
 
     det_target = _normalize_target(target)
@@ -212,7 +214,7 @@ def reference_search_realization(S, target, cfg):
         rng = np.random.default_rng([cfg.rng_seed, r])
         side = det_target if det_target is not None else int(rng.choice((-1, 1)))
         base = _random_signed_perm(rng, S.n, side)
-        Qz = _try_accept(sarr, base, _penalty_terms(sarr, base, cfg.margin)[1], cfg)
+        Qz = _try_accept(sarr, base, _penalty_terms(sarr, *_penalty_masks(sarr, cfg.margin), base)[1], cfg)
         if Qz is not None:
             return _assemble(sarr, cfg, r, Qz, base, 0)
         x0 = rng.uniform(-1.0, 1.0, size=m)
@@ -266,11 +268,13 @@ def reference_census_rows(n, cfg):
 # -- package helper for the gradient tests --------------------------------------
 
 def chart_value_grad(S, x, base, margin):
-    """(objective, chart gradient) of realize._chart_batch at one point x in
-    the chart centred at base."""
-    from orthosign.realize import _chart_batch, _chart_map
+    """(objective, chart gradient) at one point x in the chart centred at
+    base, composed from the package's value and gradient halves."""
+    from orthosign.realize import _chart_grad, _chart_map, _chart_values, _penalty_masks
 
-    sarr = sign_array(S)
-    _, f, _, grad = _chart_batch(sarr[None], _chart_map(S.n), np.asarray(x, dtype=float)[None],
-                                 np.asarray(base, dtype=float)[None], margin)
-    return float(f[0]), grad[0]
+    sarr = sign_array(S)[None]
+    base = np.asarray(base, dtype=float)[None]
+    K, I = _chart_map(S.n), np.eye(S.n)
+    _, f, _, C, M, G = _chart_values(np.asarray(x, dtype=float)[None], K, I, base, sarr,
+                                     *_penalty_masks(sarr, margin))
+    return float(f[0]), _chart_grad(base, C, M, G, K.T, I)[0]

@@ -110,7 +110,7 @@ def test_census_time_budget_covers_whole_census(monkeypatch):
     def no_descent(*args):
         raise AssertionError("chart evaluated after the census deadline")
 
-    monkeypatch.setattr(realize, "_chart_batch", no_descent)
+    monkeypatch.setattr(realize, "_chart_values", no_descent)
     report = census(3, SearchConfig(restarts=20, max_iters=500, rng_seed=1, time_budget=0.0))
     assert report.orbits_examined == 42 and report.ambiguous_count == 0
     finds = [(row.pattern, res) for row in report.rows if row.evidence is not None

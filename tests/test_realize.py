@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +104,8 @@ def test_objective_validates_shape(pstar):
         objective(pstar, np.eye(3), 0.1)
     with pytest.raises(ValueError):
         objective(pstar, np.eye(7), -0.1)
+    with pytest.raises(ValueError):
+        objective(pstar, np.eye(7), float("nan"))
 
 
 def test_gradient_matches_finite_differences():
@@ -265,6 +268,47 @@ def test_search_many_matches_separate_searches(rng_seed, s3, t3):
     assert search_many([], cfg) == []
 
 
+@pytest.mark.parametrize("line_search", [
+    {"step_shrink": 0.7},  # trial steps must come from repeated multiplication
+    {"step_grow": 1.5},
+    {"step_init": 4.0},  # runs of more than three rejections span rounds
+    # only steps 1 and 0.5 are valid, so rows reach step_min among one
+    # round's trials on descents that would otherwise go on to a find
+    {"step_min": 0.3},
+    {"armijo": 0.3},
+], ids=lambda kw: next(iter(kw)))
+def test_lockstep_matches_reference_under_line_search_settings(line_search, s3, pstar, q1, q2):
+    # each round tests several backtracking trials of a row at once; every
+    # row must still move exactly as one-trial-at-a-time backtracking moves it
+    cfg = SearchConfig(restarts=4, max_iters=250, rng_seed=5, **line_search)
+    got = []
+    for S, side in [(waters_pattern(n), side) for n in (3, 4) for side in (1, -1)] + [(s3, 1), (s3, -1)]:
+        got.append(search_realization(S, side, cfg))
+        _assert_same_result(got[-1], reference_search_realization(S, side, cfg))
+    cfg = replace(cfg, margin=0.01)
+    rng = np.random.default_rng(3)
+    for fixture in (q1, q2):
+        seed = perturb(to_float(fixture), 5e-2, rng)
+        got.append(refine_from(seed, pstar, "any", cfg))
+        _assert_same_result(got[-1], reference_refine_from(seed, pstar, "any", cfg))
+    assert any(r is not None and r.iterations > 0 for r in got)
+    assert any(r is None for r in got)
+
+
+def test_deadline_ends_long_exhausted_descent():
+    # the excluded side of waters(7) never succeeds, so only the deadline,
+    # checked every 64 rounds, can end this budget; a daemon thread lets a
+    # missed deadline fail the test instead of hanging the suite
+    cfg = SearchConfig(restarts=8, max_iters=10**6, time_budget=0.3)
+    got = []
+    worker = threading.Thread(
+        target=lambda: got.append(search_realization(waters_pattern(7), -waters_forced_sign(7), cfg)), daemon=True)
+    worker.start()
+    worker.join(10.0)
+    assert not worker.is_alive()
+    assert got == [None]
+
+
 @pytest.mark.parametrize("case", ["s3 search", "pstar refined from q1"])
 def test_result_fields_match_pattern_and_matrix(case, s3, pstar, q1, monkeypatch):
     # min_margin, max_zero_violation and objective_value recomputed here from
@@ -365,6 +409,11 @@ def test_certify_validates_input():
         rational_certify(np.eye(3), 0)
     with pytest.raises(ValueError):
         rational_certify(np.ones((2, 3)), 5)
+    for bad in (np.inf, np.nan):
+        Q = np.eye(3)
+        Q[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rational_certify(Q, 5)
 
 
 def test_certificate_det_sign_matches_reported(pstar, q2):
