@@ -291,13 +291,19 @@ def is_orthogonal(A: ExactMatrix) -> bool:
 # where each string is "p", "p/q", "r/s*sqrt2" or "p/q+r/s*sqrt2".
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
-_QUAD_HEAD_RE = re.compile(rf"(?:(?P<a>{_RAT})(?=[+-]))?(?P<b>[+-]?(?:\d+(?:/\d+)?)?)")
+# re.ASCII: \d alone also matches the digits of other scripts (U+0661 is 1)
+_RAT_RE = re.compile(_RAT, re.ASCII)
+_QUAD_HEAD_RE = re.compile(rf"(?:(?P<a>{_RAT})(?=[+-]))?(?P<b>[+-]?(?:\d+(?:/\d+)?)?)", re.ASCII)
 
 
 def _parse_rational(s: str) -> Fraction:
+    # Fraction alone also takes "1.5", "1e3" and "1_000", and an exponent
+    # such as "1e2000000" costs time and memory in proportion to its value
+    if _RAT_RE.fullmatch(s) is None:
+        raise ParseError(f"bad rational {s!r}")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
+    except ZeroDivisionError as e:
         raise ParseError(f"bad rational {s!r}: {e}") from None
 
 

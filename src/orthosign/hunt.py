@@ -166,17 +166,14 @@ class CensusReport:
                 return r.verdict
         raise KeyError("pattern is not a census orbit representative")
 
-    def to_json_dict(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "order": self.order,
             "orbits_examined": self.orbits_examined,
             "ambiguous_count": self.ambiguous_count,
             "margin": self.margin,
             "rows": [r.to_json_dict() for r in self.rows],
         }
-        if include_elapsed:
-            out["elapsed_seconds"] = self.elapsed_seconds
-        return out
 
 
 def census_default_config() -> SearchConfig:

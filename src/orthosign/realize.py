@@ -13,12 +13,14 @@ evaluates up to three backtracking trial points per live restart, of every
 search of one order, in a single batched value pass on (R, 3, n, n) stacks,
 and a gradient pass at each restart's first trial that passes Armijo, while
 every restart keeps its own pattern sign array, step size and stop rules.
-The Armijo trial steps s, s*shrink, s*shrink*shrink are known before any is
-evaluated, so testing them together moves every restart exactly as
-one-trial-at-a-time backtracking would.  The determinism contract is
-that of running the searches, and their restarts, one after another:
-restart r draws from its own generator seeded by (rng_seed, r), and the
-lowest-index success of each search wins, with bit-identical results.
+The line search is fixed Armijo backtracking (Nocedal & Wright, Numerical
+Optimization, Alg. 3.1): sufficient-decrease constant 1e-4, each rejected
+step halved, each accepted one doubled up to 1.  The trial steps s, s/2, s/4
+are known before any is evaluated, so testing them together moves every
+restart exactly as one-trial-at-a-time backtracking would.  The determinism
+contract is that of running the searches, and their restarts, one after
+another: restart r draws from its own generator seeded by (rng_seed, r), and
+the lowest-index success of each search wins, with bit-identical results.
 search_realization is the one-search case and refine_from the one-restart
 case of the same engine.
 
@@ -46,19 +48,24 @@ Target = Union[int, str]
 def _normalize_target(target: Target):
     if target in (1, -1):
         return int(target)
-    if target in (TARGET_ANY, None, 0):
+    if target == TARGET_ANY:
         return None
     raise ValueError(f"determinant target must be +1, -1 or 'any', got {target!r}")
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets and tolerances for realization search.
+    """Budgets and tolerances for realization search, one field per CLI flag.
 
     margin is the sign clearance requested of every nonzero-pattern entry;
     note the default 0.05 is deliberately robust and must be lowered (the CLI
     exposes --margin) to find realizations whose smallest entry is tiny, such
     as the det -1 side of the bundled 7x7 pattern (smallest entry ~0.019786).
+
+    The line search is fixed Armijo backtracking: first step 1, constant
+    1e-4, steps halved on rejection and doubled (up to 1) on acceptance, and
+    a restart stops once its step falls below 1e-14 (_STEP_INIT, _ARMIJO,
+    _STEP_SHRINK, _STEP_GROW and _STEP_MIN).
     """
 
     restarts: int = 50
@@ -66,11 +73,6 @@ class SearchConfig:
     margin: float = 0.05
     zero_tol: float = 1e-9
     ortho_tol: float = 1e-9
-    step_init: float = 1.0
-    step_min: float = 1e-14
-    step_grow: float = 2.0
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
     rng_seed: int = 0
     time_budget: Optional[float] = None
     denom_bound: Optional[int] = None
@@ -79,20 +81,13 @@ class SearchConfig:
         # every check is written so that NaN fails it
         if not (0 < self.margin < 1):
             raise ValueError("margin must lie in (0, 1)")
-        for name in ("zero_tol", "ortho_tol", "step_init", "step_min"):
+        for name in ("zero_tol", "ortho_tol"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
         # restarts=0 is valid (polish given seeds only), and so is time_budget=0
         for name in ("restarts", "max_iters", "rng_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        # a shrink factor of 1 never ends a failing Armijo backtrack
-        if not (0 < self.step_shrink < 1):
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if not (self.step_grow >= 1):
-            raise ValueError("step_grow must be at least 1")
-        if not (0 < self.armijo < 1):
-            raise ValueError("armijo must lie in (0, 1)")
         if self.time_budget is not None and not (self.time_budget >= 0):
             raise ValueError("time_budget must be nonnegative")
         if self.denom_bound is not None and self.denom_bound < 1:
@@ -299,9 +294,15 @@ def _try_accept(sarr: np.ndarray, Q: np.ndarray, hinge: float, cfg: SearchConfig
     return Qz if ortho_residual(Qz) <= cfg.ortho_tol else None
 
 
+# Armijo backtracking: first step, floor, growth after an accepted step (capped
+# at the first step), shrink after a rejected one, sufficient-decrease constant
+_STEP_INIT, _STEP_MIN, _STEP_GROW, _STEP_SHRINK, _ARMIJO = 1.0, 1e-14, 2.0, 0.5, 1e-4
 # backtracking trials tested per row per round: three cover 99 % of the
 # accepted steps of the perfbench hunt workload, and a fourth saved no time
 _TRIALS = 3
+# halving is exact, so step * _TRIAL_SCALES[j] has the bits of j repeated
+# halvings of step
+_TRIAL_SCALES = _STEP_SHRINK ** np.arange(_TRIALS)
 
 
 def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bases: np.ndarray, x0: np.ndarray,
@@ -314,10 +315,10 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
     group.  Row k starts at x0[k] in the chart centred at bases[k] and keeps
     its own step size, Armijo test, iteration count and stop rules, exactly
     as if it ran alone.  Each round tests the next _TRIALS = 3 backtracking
-    trials of every live row (steps s, s*shrink, s*shrink*shrink) in one
-    batched value pass; a row moves to its first trial that passes Armijo,
-    and only the chosen points go through the gradient pass.  A row with no
-    passing trial carries on backtracking from its last trial next round, so
+    trials of every live row (steps s, s/2, s/4) in one batched value pass;
+    a row moves to its first trial that passes Armijo, and only the chosen
+    points go through the gradient pass.  A row with no passing trial
+    carries on backtracking from its last trial next round, so
     every row moves exactly as sequential backtracking would.  When a row
     succeeds, it and the higher rows of its own search are dropped, so the
     lowest-index success of each search wins.  The deadline is checked
@@ -335,11 +336,10 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
     sarr, zero, floor, bases = (np.repeat(a[:, None], _TRIALS, 1)
                                 for a in (sarr, *_penalty_masks(sarr, cfg.margin), bases))
     # against f = inf and g = 0 every trial is x0 and passes the Armijo test,
-    # so the first round moves each row to its starting point; a step_init
-    # below step_min then ends the row, as it ends a sequential descent
+    # so the first round moves each row to its starting point
     x = x0.copy()
     f, g, gnorm2 = np.full(len(slot), np.inf), np.zeros_like(x0), np.zeros(len(slot))
-    step = np.full(len(slot), max(cfg.step_init, cfg.step_min))
+    step = np.full(len(slot), _STEP_INIT)
     it = np.zeros(len(slot), dtype=int)
     best = {}
     rounds = 0
@@ -347,20 +347,16 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
         if rounds % 64 == 0 and time.monotonic() > deadline:
             break
         rounds += 1
-        # trial steps by repeated multiplication, the bits of step *= shrink
-        T = np.empty((len(slot), _TRIALS))
-        T[:, 0] = step
-        T[:, 1:] = cfg.step_shrink
-        np.multiply.accumulate(T, axis=1, out=T)
+        T = step[:, None] * _TRIAL_SCALES
         xt = x[:, None] - T[:, :, None] * g[:, None]
         Qt, ft, ht, Ct, Mt, Gt = _chart_values(xt, K, I, bases, sarr, zero, floor)
-        # a trial below step_min is one sequential backtracking never reaches
-        ok = (ft <= f[:, None] - cfg.armijo * T * gnorm2[:, None]) & (T >= cfg.step_min)
+        # a trial below the floor is one sequential backtracking never reaches
+        ok = (ft <= f[:, None] - _ARMIJO * T * gnorm2[:, None]) & (T >= _STEP_MIN)
         moved = ok.any(1)
         k = np.flatnonzero(moved)
         j = ok[k].argmax(1)
-        step = T[:, -1] * cfg.step_shrink
-        step[k] = np.minimum(T[k, j] * cfg.step_grow, cfg.step_init)
+        step = T[:, -1] * _STEP_SHRINK
+        step[k] = np.minimum(T[k, j] * _STEP_GROW, _STEP_INIT)
         x[k], f[k] = xt[k, j], ft[k, j]
         g[k] = gk = _chart_grad(bases[k, 0], Ct[k, j], Mt[k, j], Gt[k, j], KT, I)
         # gk[:, None, :] @ gk[:, :, None] adds like the 1-D dot g @ g (einsum
@@ -384,7 +380,7 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
                     best[s] = (int(slot[r]), Qz, Qt[r, j[i]], int(it[r]))
                     won[s] = r
         it += moved
-        live = (it <= cfg.max_iters) & (gnorm2 > 1e-30) & (step >= cfg.step_min)
+        live = (it <= cfg.max_iters) & (gnorm2 > 1e-30) & (step >= _STEP_MIN)
         for s, r in won.items():
             live[r:] &= group[r:] != s
         if not live.all():
@@ -500,7 +496,7 @@ def refine_from(Q0, S: SignPattern, target: Target, cfg: Optional[SearchConfig] 
     return _assemble(sarr, cfg, *found[0]) if found else None
 
 
-def rational_certify(Q, denom_bound: int, zero_tol: float = 0.0) -> Optional[RatMatrix]:
+def rational_certify(Q, denom_bound: int) -> Optional[RatMatrix]:
     """Lift a float matrix to an exactly verified rational orthogonal matrix.
 
     Each entry is replaced by its best rational approximation with denominator
@@ -516,16 +512,9 @@ def rational_certify(Q, denom_bound: int, zero_tol: float = 0.0) -> Optional[Rat
     if not np.all(np.isfinite(Q)):
         raise ValueError("matrix entries must be finite")
     n = Q.shape[0]
-    entries = []
-    for q in Q.flat:
-        q = float(q)
-        if abs(q) <= zero_tol:
-            entries.append(Fraction(0))
-        else:
-            entries.append(Fraction(q).limit_denominator(denom_bound))
-    cand = RatMatrix(n, n, tuple(entries))
+    cand = RatMatrix(n, n, tuple(Fraction(float(q)).limit_denominator(denom_bound) for q in Q.flat))
     if not is_orthogonal(cand):
         return None
-    if sign_pattern_of(cand) != sign_pattern_of(Q, zero_tol):
+    if sign_pattern_of(cand) != sign_pattern_of(Q):
         return None
     return cand

@@ -164,8 +164,11 @@ def reference_chart_value_grad(sarr, x, base, margin):
     return Q, f, hinge, grad
 
 
-def reference_descend(sarr, base, x0, cfg):
-    """Backtracking gradient descent in one Cayley chart (no time budget).
+def reference_descend(sarr, base, x0, cfg, step_min=1e-14):
+    """Backtracking gradient descent in one Cayley chart (no time budget):
+    Armijo constant 1e-4, steps from 1 halved on rejection and doubled (up
+    to 1) on acceptance, ending below step_min.  The constants are written
+    out here, not imported, so a changed engine constant shows as a mismatch.
 
     Returns (accepted Qz or None, raw Q, iterations used).
     """
@@ -176,30 +179,30 @@ def reference_descend(sarr, base, x0, cfg):
     Qz = _try_accept(sarr, Q, hinge, cfg)
     if Qz is not None:
         return Qz, Q, 0
-    step = cfg.step_init
+    step = 1.0
     for it in range(1, cfg.max_iters + 1):
         gnorm2 = float(g @ g)
         if gnorm2 <= 1e-30:
             return None, Q, it - 1
         accepted = False
-        while step >= cfg.step_min:
+        while step >= step_min:
             xn = x - step * g
             Qn, fn, hn, gn = reference_chart_value_grad(sarr, xn, base, cfg.margin)
-            if fn <= f - cfg.armijo * step * gnorm2:
+            if fn <= f - 1e-4 * step * gnorm2:
                 accepted = True
                 break
-            step *= cfg.step_shrink
+            step *= 0.5
         if not accepted:
             return None, Q, it - 1
         x, Q, f, hinge, g = xn, Qn, fn, hn, gn
         Qz = _try_accept(sarr, Q, hinge, cfg)
         if Qz is not None:
             return Qz, Q, it
-        step = min(step * cfg.step_grow, cfg.step_init)
+        step = min(step * 2.0, 1.0)
     return None, Q, cfg.max_iters
 
 
-def reference_search_realization(S, target, cfg):
+def reference_search_realization(S, target, cfg, step_min=1e-14):
     """Restarts one after another; the first success by restart index wins."""
     from orthosign.realize import (_assemble, _normalize_target, _penalty_masks, _penalty_terms,
                                    _random_signed_perm, _try_accept)
@@ -218,13 +221,13 @@ def reference_search_realization(S, target, cfg):
         if Qz is not None:
             return _assemble(sarr, cfg, r, Qz, base, 0)
         x0 = rng.uniform(-1.0, 1.0, size=m)
-        Qz, Q_raw, iters = reference_descend(sarr, base, x0, cfg)
+        Qz, Q_raw, iters = reference_descend(sarr, base, x0, cfg, step_min)
         if Qz is not None:
             return _assemble(sarr, cfg, r, Qz, Q_raw, iters)
     return None
 
 
-def reference_refine_from(Q0, S, target, cfg):
+def reference_refine_from(Q0, S, target, cfg, step_min=1e-14):
     """One descent in the chart centred at the projected seed."""
     from orthosign.realize import _assemble, _normalize_target, float_det_sign, reorthonormalize
 
@@ -233,7 +236,7 @@ def reference_refine_from(Q0, S, target, cfg):
     if det_target is not None and float_det_sign(base) != det_target:
         return None
     sarr = sign_array(S)
-    Qz, Q_raw, iters = reference_descend(sarr, base, np.zeros(S.n * (S.n - 1) // 2), cfg)
+    Qz, Q_raw, iters = reference_descend(sarr, base, np.zeros(S.n * (S.n - 1) // 2), cfg, step_min)
     return None if Qz is None else _assemble(sarr, cfg, 0, Qz, Q_raw, iters)
 
 

@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import orthosign
-from orthosign.cli import main, render_json
+from orthosign.cli import _config_from_args, build_parser, main, render_json
 from orthosign.exact import matrix_to_json, parse_matrix_json
 from orthosign.fixtures import fixture_text
+from orthosign.realize import SearchConfig
 
 
 @pytest.fixture()
@@ -202,6 +204,19 @@ def test_realize_rejects_nan_tolerance(fixture_dir, capsys):
     assert main(["realize", str(fixture_dir / "s3.pat"), "--zero-tol", "nan",
                  "--restarts", "5", "--max-iters", "200"]) == 2
     assert "zero_tol" in capsys.readouterr().err
+
+
+def test_search_flags_set_every_config_field():
+    # a non-default value for every search flag; a SearchConfig field that no
+    # flag reaches would be a hidden setting
+    want = SearchConfig(restarts=7, max_iters=123, margin=0.03, zero_tol=1e-7, ortho_tol=1e-8,
+                        rng_seed=11, time_budget=2.5, denom_bound=99)
+    args = build_parser().parse_args(
+        ["realize", "s3.pat", "--seed", "11", "--restarts", "7", "--max-iters", "123", "--margin", "0.03",
+         "--zero-tol", "1e-7", "--ortho-tol", "1e-8", "--time-budget", "2.5", "--denom-bound", "99"])
+    assert _config_from_args(args) == want
+    assert {f.name for f in fields(SearchConfig)} == {
+        "restarts", "max_iters", "margin", "zero_tol", "ortho_tol", "rng_seed", "time_budget", "denom_bound"}
 
 
 def test_usage_error_exits_2():

@@ -270,7 +270,8 @@ def test_parse_entry(text, value):
     assert parse_entry(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "1/2/3", "sqrt2*sqrt2", "1/0", "1+2+3*sqrt2", "sqrt3"])
+@pytest.mark.parametrize("bad", ["", "abc", "1/2/3", "sqrt2*sqrt2", "1/0", "1+2+3*sqrt2", "sqrt3",
+                                 "1.5", "1e3", "1_000", "1e2000000", "\u0661/\u0662", "\u0661+sqrt2"])
 def test_parse_entry_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_entry(bad)
