@@ -35,8 +35,6 @@ from .hunt import (
 from .realize import (
     RealizationResult,
     SearchConfig,
-    SkewParams,
-    cayley,
     objective,
     ortho_residual,
     perturb,

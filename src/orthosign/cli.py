@@ -53,9 +53,13 @@ def load_float_matrix(path: str) -> np.ndarray:
         raise ParseError(f"invalid JSON in {path}: {e.msg}", line=e.lineno, col=e.colno) from None
     if isinstance(obj, dict):
         return to_float(parse_matrix_json(text))
-    arr = np.asarray(obj, dtype=float)
+    shape_error = f"float matrix in {path} must be a square nested array of numbers"
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):  # ragged rows or entries that are not numbers
+        raise ParseError(shape_error) from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ParseError(f"float matrix in {path} must be a square nested array")
+        raise ParseError(shape_error)
     if not np.all(np.isfinite(arr)):
         raise ParseError(f"float matrix in {path} has non-finite entries")
     return arr

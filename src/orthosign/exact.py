@@ -184,9 +184,6 @@ class ExactMatrix:
     def to_quad(self) -> "QuadMatrix":
         return QuadMatrix(self.rows, self.cols, self.entries)
 
-    def __matmul__(self, other):
-        return mat_mul(self, other)
-
     def __str__(self):
         cells = [[format_entry(e) for e in self.row(i)] for i in range(self.rows)]
         width = [max(len(r[j]) for r in cells) for j in range(self.cols)]
@@ -309,7 +306,7 @@ def _parse_rational(s: str) -> Fraction:
 
 def parse_entry(s: str):
     """Parse one exact entry string into a Fraction or QuadRational."""
-    text = s.strip().replace(" ", "")
+    text = s.strip()
     if not text:
         raise ParseError("empty matrix entry")
     if "sqrt2" not in text:
@@ -352,7 +349,8 @@ def parse_matrix_json(text: str) -> ExactMatrix:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise ParseError('exact matrix JSON must be an object with "rows", "cols" and "entries"')
     rows, cols, grid = obj["rows"], obj["cols"], obj["entries"]
-    if not (isinstance(rows, int) and isinstance(cols, int)):
+    # JSON true and false load as bool, a subclass of int
+    if not (type(rows) is int and type(cols) is int):
         raise ParseError('"rows" and "cols" must be integers')
     if not isinstance(grid, list) or len(grid) != rows:
         raise ParseError(f'"entries" must be a list of {rows} rows')

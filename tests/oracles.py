@@ -4,15 +4,18 @@ Everything here is deliberately written from scratch on plain Python data
 (lists of ints/Fractions, tuples of tuples) so it shares no code path with
 the package under test.  There are two exceptions.  The reference orbit
 enumeration closes one orbit at a time with the package's orbit_of, over
-whole patterns, not row classes.  The reference realization search at the end
-is the sequential, one-restart-at-a-time descent on 2-D numpy arrays that the
+whole patterns, not row classes.  The reference realization search is the
+sequential, one-restart-at-a-time descent on 2-D numpy arrays that the
 lock-step engine must reproduce bit for bit, so it reuses the package's
-target parsing, base drawing, acceptance test and result assembly, and keeps
-its own sign arrays (built from S.entries) and descent arithmetic; the
-reference census runs it on the package's orbit list.  chart_value_grad at
-the very end is no reference: it composes the package's value and gradient
-halves of the chart evaluation at one point, for the finite-difference
-gradient tests.
+target parsing, base drawing and result assembly.  It keeps its own sign
+arrays (built from S.entries), its own descent arithmetic and its own
+success test, reference_accept, written out from the definition; the
+reference census runs it on the package's orbit list.
+
+The two helpers at the very end are no reference: chart_q and
+chart_value_grad evaluate the package's own chart, at one point, so that the
+chart tests and the finite-difference gradient tests check the code the
+search runs.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ def sign_array(S):
 
 
 def reference_chart_value_grad(sarr, x, base, margin):
-    """Objective and chart gradient at one parameter vector, on 2-D arrays."""
+    """Q, objective and chart gradient at one parameter vector, on 2-D arrays."""
     n = len(sarr)
     I = np.eye(n)
     iu = np.triu_indices(n, 1)
@@ -156,12 +159,24 @@ def reference_chart_value_grad(sarr, x, base, margin):
     Q = base @ M
     H = np.maximum(np.where(sarr != 0, margin - sarr * Q, 0.0), 0.0)
     Z = np.where(sarr == 0, Q, 0.0)
-    hinge = float(np.sum(H * H))
-    f = hinge + float(np.sum(Z * Z))
+    f = float(np.sum(H * H)) + float(np.sum(Z * Z))
     G = -2.0 * H * sarr + 2.0 * Z
     W = -(I + M).T @ base.T @ G @ C.T
     grad = W[iu] - W.T[iu]
-    return Q, f, hinge, grad
+    return Q, f, grad
+
+
+def reference_accept(sarr, Q, cfg):
+    """The success test, written out from its definition: every signed entry
+    has its sign and clears cfg.margin, every zero-pattern entry is within
+    cfg.zero_tol of 0, and the matrix with those entries set to 0 has
+    max |Q^T Q - I| within cfg.ortho_tol.  Returns that snapped matrix, or
+    None."""
+    signed, zeros = sarr != 0, sarr == 0
+    if not (np.all(sarr[signed] * Q[signed] >= cfg.margin) and np.all(np.abs(Q[zeros]) <= cfg.zero_tol)):
+        return None
+    Qz = np.where(zeros, 0.0, Q)
+    return Qz if np.max(np.abs(Qz.T @ Qz - np.eye(len(Q)))) <= cfg.ortho_tol else None
 
 
 def reference_descend(sarr, base, x0, cfg, step_min=1e-14):
@@ -172,11 +187,9 @@ def reference_descend(sarr, base, x0, cfg, step_min=1e-14):
 
     Returns (accepted Qz or None, raw Q, iterations used).
     """
-    from orthosign.realize import _try_accept
-
     x = np.asarray(x0, dtype=float)
-    Q, f, hinge, g = reference_chart_value_grad(sarr, x, base, cfg.margin)
-    Qz = _try_accept(sarr, Q, hinge, cfg)
+    Q, f, g = reference_chart_value_grad(sarr, x, base, cfg.margin)
+    Qz = reference_accept(sarr, Q, cfg)
     if Qz is not None:
         return Qz, Q, 0
     step = 1.0
@@ -187,15 +200,15 @@ def reference_descend(sarr, base, x0, cfg, step_min=1e-14):
         accepted = False
         while step >= step_min:
             xn = x - step * g
-            Qn, fn, hn, gn = reference_chart_value_grad(sarr, xn, base, cfg.margin)
+            Qn, fn, gn = reference_chart_value_grad(sarr, xn, base, cfg.margin)
             if fn <= f - 1e-4 * step * gnorm2:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             return None, Q, it - 1
-        x, Q, f, hinge, g = xn, Qn, fn, hn, gn
-        Qz = _try_accept(sarr, Q, hinge, cfg)
+        x, Q, f, g = xn, Qn, fn, gn
+        Qz = reference_accept(sarr, Q, cfg)
         if Qz is not None:
             return Qz, Q, it
         step = min(step * 2.0, 1.0)
@@ -204,8 +217,7 @@ def reference_descend(sarr, base, x0, cfg, step_min=1e-14):
 
 def reference_search_realization(S, target, cfg, step_min=1e-14):
     """Restarts one after another; the first success by restart index wins."""
-    from orthosign.realize import (_assemble, _normalize_target, _penalty_masks, _penalty_terms,
-                                   _random_signed_perm, _try_accept)
+    from orthosign.realize import _assemble, _normalize_target, _random_signed_perm
     from orthosign.signpat import necessary_check
 
     det_target = _normalize_target(target)
@@ -217,7 +229,7 @@ def reference_search_realization(S, target, cfg, step_min=1e-14):
         rng = np.random.default_rng([cfg.rng_seed, r])
         side = det_target if det_target is not None else int(rng.choice((-1, 1)))
         base = _random_signed_perm(rng, S.n, side)
-        Qz = _try_accept(sarr, base, _penalty_terms(sarr, *_penalty_masks(sarr, cfg.margin), base)[1], cfg)
+        Qz = reference_accept(sarr, base, cfg)
         if Qz is not None:
             return _assemble(sarr, cfg, r, Qz, base, 0)
         x0 = rng.uniform(-1.0, 1.0, size=m)
@@ -268,7 +280,18 @@ def reference_census_rows(n, cfg):
     return rows
 
 
-# -- package helper for the gradient tests --------------------------------------
+# -- package chart at one point, for the chart and gradient tests ----------------
+
+def chart_q(n, x, base=None):
+    """Q = base (I - A)(I + A)^-1 at chart point x, as the engine's
+    _chart_values computes it; base defaults to the identity."""
+    from orthosign.realize import _chart_map, _chart_values, _penalty_masks
+
+    base = np.eye(n) if base is None else np.asarray(base, dtype=float)
+    sarr = np.zeros((n, n))
+    return _chart_values(np.asarray(x, dtype=float), _chart_map(n), np.eye(n), base, sarr,
+                         *_penalty_masks(sarr, 0.5))[0]
+
 
 def chart_value_grad(S, x, base, margin):
     """(objective, chart gradient) at one point x in the chart centred at

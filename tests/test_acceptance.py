@@ -22,8 +22,6 @@ from orthosign.hunt import (
 )
 from orthosign.realize import (
     SearchConfig,
-    SkewParams,
-    cayley,
     ortho_residual,
     perturb,
     rational_certify,
@@ -42,7 +40,7 @@ from orthosign.signpat import (
     waters_forced_sign,
     waters_pattern,
 )
-from oracles import chart_value_grad, det_cofactor
+from oracles import chart_q, chart_value_grad, det_cofactor
 
 
 @contextmanager
@@ -155,7 +153,7 @@ def test_criterion_9_property_suites(pstar, q1):
         for _ in range(1000):
             n = int(rng.integers(2, 9))
             x = rng.uniform(-5.0, 5.0, n * (n - 1) // 2)
-            worst = max(worst, ortho_residual(cayley(SkewParams(n, x))))
+            worst = max(worst, ortho_residual(chart_q(n, x)))
         assert worst <= 1e-12
 
         # analytic gradient vs central finite differences

@@ -181,6 +181,15 @@ def test_malformed_matrix_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_ragged_float_seed_file(fixture_dir, tmp_path, capsys):
+    seeds = tmp_path / "s.json"
+    seeds.write_text("[[1, 0], [0]]")
+    assert main(["hunt", str(fixture_dir / "s3.pat"), "--seeds", str(seeds)]) == 2
+    err = capsys.readouterr().err
+    assert f"float matrix in {seeds} must be a square nested array of numbers" in err
+    assert "inhomogeneous" not in err
+
+
 def test_missing_file(capsys):
     assert main(["verify", "/nonexistent/never.json"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import threading
 from dataclasses import replace
 
@@ -7,8 +8,6 @@ import pytest
 from orthosign.realize import (
     RealizationResult,
     SearchConfig,
-    SkewParams,
-    cayley,
     float_det_sign,
     objective,
     ortho_residual,
@@ -29,21 +28,27 @@ from orthosign.signpat import (
     waters_pattern,
 )
 
-from oracles import chart_value_grad, reference_refine_from, reference_search_realization
+from oracles import (
+    chart_q,
+    chart_value_grad,
+    reference_accept,
+    reference_refine_from,
+    reference_search_realization,
+    sign_array,
+)
 
 
 # -- Cayley chart ---------------------------------------------------------------
 
 def test_cayley_at_zero_is_base():
-    A = SkewParams(3, (0.0, 0.0, 0.0))
-    assert np.allclose(cayley(A), np.eye(3), atol=0)
+    assert np.allclose(chart_q(3, np.zeros(3)), np.eye(3), atol=0)
     base = np.diag([-1.0, 1.0, 1.0])
-    assert np.allclose(cayley(A, base), base, atol=0)
+    assert np.allclose(chart_q(3, np.zeros(3), base), base, atol=0)
 
 
 def test_cayley_closed_form_2x2():
     # A = [[0,1],[-1,0]]: (I-A)(I+A)^-1 = [[0,-1],[1,0]]
-    Q = cayley(SkewParams(2, (1.0,)))
+    Q = chart_q(2, [1.0])
     assert np.allclose(Q, np.array([[0.0, -1.0], [1.0, 0.0]]), atol=1e-15)
 
 
@@ -53,7 +58,7 @@ def test_cayley_orthogonality_residual():
     for _ in range(300):
         n = int(rng.integers(2, 9))
         x = rng.uniform(-5, 5, n * (n - 1) // 2)
-        worst = max(worst, ortho_residual(cayley(SkewParams(n, x))))
+        worst = max(worst, ortho_residual(chart_q(n, x)))
     assert worst <= 1e-12
 
 
@@ -62,12 +67,7 @@ def test_cayley_preserves_base_determinant_sign():
     base = np.diag([-1.0] + [1.0] * 4)
     for _ in range(50):
         x = rng.uniform(-3, 3, 10)
-        assert float_det_sign(cayley(SkewParams(5, x), base)) == -1
-
-
-def test_skew_params_validation():
-    with pytest.raises(ValueError):
-        SkewParams(3, (1.0,))
+        assert float_det_sign(chart_q(5, x, base)) == -1
 
 
 # -- objective -------------------------------------------------------------------
@@ -202,6 +202,30 @@ def test_search_rejects_bad_target(s3):
             search_realization(s3, target, SearchConfig())
 
 
+def test_base_find_is_equality_with_sign_array():
+    # search_many accepts a random base outright exactly when it equals the
+    # pattern's sign array; check that against the success test written out
+    # from its definition, for every signed permutation of order 1-3 and
+    # every pattern of that order that passes the necessary check
+    checks = 0
+    for n in (1, 2, 3):
+        patterns = [SignPattern(n, e) for e in itertools.product((-1, 0, 1), repeat=n * n)]
+        sarrs = [sign_array(S) for S in patterns if necessary_check(S).passed]
+        bases = []
+        for perm in itertools.permutations(range(n)):
+            for signs in itertools.product((-1.0, 1.0), repeat=n):
+                B = np.zeros((n, n))
+                B[range(n), perm] = signs
+                bases.append(B)
+        for margin in (0.05, 0.99):
+            cfg = SearchConfig(margin=margin)
+            for B in bases:
+                for sarr in sarrs:
+                    assert np.array_equal(B, sarr) == (reference_accept(sarr, B, cfg) is not None)
+                    checks += 1
+    assert checks == 64776
+
+
 def test_search_time_budget_zero(s3):
     assert search_realization(s3, 1, SearchConfig(rng_seed=3, time_budget=0.0)) is None
 
@@ -313,19 +337,19 @@ def test_deadline_ends_long_exhausted_descent():
 def test_result_fields_match_pattern_and_matrix(case, s3, pstar, q1, monkeypatch):
     # min_margin, max_zero_violation and objective_value recomputed here from
     # the pattern's entries, the reported q and the raw matrix it was snapped
-    # from (recorded off the acceptance test), with none of the package's masks
+    # from (recorded where the result is assembled), with none of the
+    # package's masks
     import orthosign.realize as realize
 
-    accepted = []
-    accept = realize._try_accept
+    assembled = []
+    assemble = realize._assemble
 
-    def record(sarr, Q, hinge, cfg):
-        Qz = accept(sarr, Q, hinge, cfg)
-        if Qz is not None:
-            accepted.append((Q.copy(), Qz))
-        return Qz
+    def record(sarr, cfg, restart_index, Qz, Q_raw, iterations):
+        res = assemble(sarr, cfg, restart_index, Qz, Q_raw, iterations)
+        assembled.append((Q_raw.copy(), res))
+        return res
 
-    monkeypatch.setattr(realize, "_try_accept", record)
+    monkeypatch.setattr(realize, "_assemble", record)
     if case == "s3 search":
         S, cfg = s3, SearchConfig(rng_seed=7)
         res = search_realization(S, "any", cfg)
@@ -335,7 +359,7 @@ def test_result_fields_match_pattern_and_matrix(case, s3, pstar, q1, monkeypatch
         S, cfg = pstar, SearchConfig(margin=0.22, rng_seed=1)
         res = refine_from(perturb(to_float(q1), 5e-2, np.random.default_rng(41)), S, "any", cfg)
     assert res is not None and res.iterations > 0
-    raw = next(Q for Q, Qz in accepted if Qz is res.q)
+    raw = next(Q for Q, r in assembled if r is res)
     signed = [s * float(q) for s, q in zip(S.entries, res.q.flat) if s != 0]
     zeros = [float(q) for s, q in zip(S.entries, res.q.flat) if s == 0]
     raw_zeros = [abs(float(q)) for s, q in zip(S.entries, raw.flat) if s == 0]
@@ -400,7 +424,7 @@ def test_certify_q2(q2):
 
 def test_certify_generic_rotation_fails():
     rng = np.random.default_rng(17)
-    Q = cayley(SkewParams(4, tuple(rng.uniform(-1, 1, 6))))
+    Q = chart_q(4, rng.uniform(-1, 1, 6))
     assert rational_certify(Q, 10) is None
 
 
