@@ -54,14 +54,17 @@ def load_float_matrix(path: str) -> np.ndarray:
     if isinstance(obj, dict):
         return to_float(parse_matrix_json(text))
     shape_error = f"float matrix in {path} must be a square nested array of numbers"
+    finite_error = f"float matrix in {path} has non-finite entries"
+    # checked by hand: numpy would read true and "1" as 1.0
+    if not (isinstance(obj, list) and obj and all(isinstance(row, list) and len(row) == len(obj)
+                                                  and all(type(v) in (int, float) for v in row) for row in obj)):
+        raise ParseError(shape_error)
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):  # ragged rows or entries that are not numbers
-        raise ParseError(shape_error) from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ParseError(shape_error)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(finite_error) from None
     if not np.all(np.isfinite(arr)):
-        raise ParseError(f"float matrix in {path} has non-finite entries")
+        raise ParseError(finite_error)
     return arr
 
 

@@ -25,11 +25,14 @@ search_realization is the one-search case and refine_from the one-restart
 case of the same engine.
 
 The chart has one evaluation, _chart_values (with _chart_map the one x -> A
-map), and a find has one success test, in _lockstep_descent: every signed
-entry clears the margin, every zero-pattern entry is within zero_tol, and the
-matrix with those entries snapped to 0 is orthogonal within ortho_tol.  The
-only find outside descent is a random base that equals the pattern's sign
-array, which passes that test exactly.
+map).  It inverts I + A in closed form at orders n <= 3, where
+det(I + A) = 1 + |x|^2, and with LAPACK at n >= 4, and it takes
+(I - A)(I + A)^-1 as 2 (I + A)^-1 - I, with no matrix product.  A find has
+one success test, in _lockstep_descent: every signed entry clears the
+margin, every zero-pattern entry is within zero_tol, and the matrix with
+those entries snapped to 0 is orthogonal within ortho_tol.  The only find
+outside descent is a random base that equals the pattern's sign array,
+which passes that test exactly.
 
 A numerical find can be promoted to a certificate: every entry is replaced by
 its best rational approximation with bounded denominator and the result is
@@ -196,33 +199,51 @@ def _penalty_terms(sarr: np.ndarray, zero: np.ndarray, floor: np.ndarray, Q: np.
     return f, hinge, G
 
 
+# x -> w = (x2, -x1, x0), the axial vector of A at n = 3
+_AXIAL_SIGNS = np.array([1.0, -1.0, 1.0])
+
+
 def _chart_values(x: np.ndarray, K: np.ndarray, I: np.ndarray, bases: np.ndarray, sarr: np.ndarray,
                   zero: np.ndarray, floor: np.ndarray):
     """Value half of the chart evaluation, for any stack of chart points.
 
     x is (..., m), K is _chart_map(n) and I the n x n identity; bases, sarr
     and the _penalty_masks broadcast against (..., n, n).  Returns Q, f,
-    hinge and what _chart_grad needs: C = (I + A)^-1, M = (I - A) C and G,
-    the gradient of the penalty wrt Q.  Batched inv and stacked matmul work
-    slice by slice, so each slice matches the same computation on 2-D arrays
-    exactly.  Every entry of x @ K has one nonzero term, so A is exact.
+    hinge and what _chart_grad needs: C = (I + A)^-1 and G, the gradient of
+    the penalty wrt Q.  Every entry of x @ K has one nonzero term, so A is
+    exact.
+
+    At n <= 3, C is closed-form algebra: A^2 = w w^T - |x|^2 I, where w is
+    the axial vector (x2, -x1, x0) at n = 3 and w = 0 at n <= 2 (at n = 1,
+    C = I).  So C = (I - A + w w^T) / (1 + |x|^2), and the denominator is
+    det(I + A) >= 1: no pivoting and no singular case.  At n >= 4, C is
+    LAPACK's batched inverse.  At every order (I - A) C = 2C - I, since
+    I - A = 2I - (I + A).  Every step is elementwise, a sum over the last
+    axis, or a batched inv or matmul, and each works slice by slice, so each
+    slice matches the same computation on 2-D arrays bit for bit.
     """
     n = len(I)
     A = (x @ K).reshape(x.shape[:-1] + (n, n))
-    C = np.linalg.inv(I + A)
-    M = (I - A) @ C
-    Q = bases @ M
+    if n > 3:
+        C = np.linalg.inv(I + A)
+    else:
+        N = I - A
+        if n == 3:
+            w = x[..., ::-1] * _AXIAL_SIGNS
+            N += w[..., :, None] * w[..., None, :]
+        C = N / (1.0 + (x * x).sum(-1))[..., None, None]
+    Q = bases @ (2.0 * C - I)
     f, hinge, G = _penalty_terms(sarr, zero, floor, Q)
-    return Q, f, hinge, C, M, G
+    return Q, f, hinge, C, G
 
 
-def _chart_grad(bases: np.ndarray, C: np.ndarray, M: np.ndarray, G: np.ndarray, KT: np.ndarray,
-                I: np.ndarray) -> np.ndarray:
+def _chart_grad(bases: np.ndarray, C: np.ndarray, G: np.ndarray, KT: np.ndarray) -> np.ndarray:
     """Gradient half: chart gradient (R, m) of R points from their (R, n, n)
-    bases and the C, M and G that _chart_values returned; KT is K.T."""
-    # dQ = -B (I + M) dA C  =>  df/dA = W with W as below; pulling back
-    # through the chart map gives df/dx_k = W[i,j] - W[j,i] for slot k = (i,j)
-    W = -(I + M).transpose(0, 2, 1) @ bases.transpose(0, 2, 1) @ G @ C.transpose(0, 2, 1)
+    bases and the C and G that _chart_values returned; KT is K.T."""
+    # dQ = -B (I + M) dA C with M = 2C - I, so I + M = 2C and df/dA = W with
+    # W as below; pulling back through the chart map gives
+    # df/dx_k = W[i,j] - W[j,i] for slot k = (i,j)
+    W = -2.0 * C.transpose(0, 2, 1) @ bases.transpose(0, 2, 1) @ G @ C.transpose(0, 2, 1)
     return W.reshape(len(W), len(KT)) @ KT
 
 
@@ -320,7 +341,7 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
         rounds += 1
         T = step[:, None] * _TRIAL_SCALES
         xt = x[:, None] - T[:, :, None] * g[:, None]
-        Qt, ft, ht, Ct, Mt, Gt = _chart_values(xt, K, I, bases, sarr, zero, floor)
+        Qt, ft, ht, Ct, Gt = _chart_values(xt, K, I, bases, sarr, zero, floor)
         # a trial below the floor is one sequential backtracking never reaches
         ok = (ft <= f[:, None] - _ARMIJO * T * gnorm2[:, None]) & (T >= _STEP_MIN)
         moved = ok.any(1)
@@ -329,7 +350,7 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
         step = T[:, -1] * _STEP_SHRINK
         step[k] = np.minimum(T[k, j] * _STEP_GROW, _STEP_INIT)
         x[k], f[k] = xt[k, j], ft[k, j]
-        g[k] = gk = _chart_grad(bases[k, 0], Ct[k, j], Mt[k, j], Gt[k, j], KT, I)
+        g[k] = gk = _chart_grad(bases[k, 0], Ct[k, j], Gt[k, j], KT)
         # gk[:, None, :] @ gk[:, :, None] adds like the 1-D dot g @ g (einsum
         # does not)
         gnorm2[k] = (gk[:, None, :] @ gk[:, :, None])[:, 0, 0]

@@ -10,7 +10,13 @@ lock-step engine must reproduce bit for bit, so it reuses the package's
 target parsing, base drawing and result assembly.  It keeps its own sign
 arrays (built from S.entries), its own descent arithmetic and its own
 success test, reference_accept, written out from the definition; the
-reference census runs it on the package's orbit list.
+reference census runs it on the package's orbit list.  Its chart,
+reference_chart_value_grad, writes out the engine's formula on 2-D arrays
+with its own axial vector: the closed-form (I + A)^-1 at n <= 3, LAPACK's
+inverse at n >= 4, and Q = base (2 (I + A)^-1 - I).  Bit-identical finds
+need the same floating-point steps, so it cannot use another formula; the
+chart's accuracy is checked against exact_cayley_q, which computes Q over
+Fractions.
 
 The two helpers at the very end are no reference: chart_q and
 chart_value_grad evaluate the package's own chart, at one point, so that the
@@ -140,6 +146,26 @@ def frac_grid(rows):
     return tuple(tuple(Fraction(e) for e in row) for row in rows)
 
 
+def exact_cayley_q(n, x):
+    """Q = (I - A)(I + A)^-1 at the float chart point x (A's strict upper
+    triangle in row-major order), computed exactly over Fractions by Cramer's
+    rule with det_cofactor and rounded once per entry to float."""
+    A = [[Fraction(0)] * n for _ in range(n)]
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), v in zip(slots, x):
+        A[i][j], A[j][i] = Fraction(float(v)), -Fraction(float(v))
+    P = [[int(i == j) + A[i][j] for j in range(n)] for i in range(n)]
+    det = det_cofactor(P)
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1 :] for t, row in enumerate(P) if t != i]
+        return (-1) ** (i + j) * (det_cofactor(minor) if minor else 1)
+
+    C = [[cofactor(j, i) / det for j in range(n)] for i in range(n)]
+    return np.array([[float(sum((int(i == t) - A[i][t]) * C[t][j] for t in range(n))) for j in range(n)]
+                     for i in range(n)])
+
+
 # -- sequential reference for realize.search_realization / refine_from -----------
 
 def sign_array(S):
@@ -154,14 +180,21 @@ def reference_chart_value_grad(sarr, x, base, margin):
     A = np.zeros((n, n))
     A[iu] = x
     A -= A.T
-    C = np.linalg.inv(I + A)
-    M = (I - A) @ C
-    Q = base @ M
+    if n >= 4:
+        C = np.linalg.inv(I + A)
+    else:
+        # (I + A)^-1 = (I - A + w w^T) / (1 + |x|^2), with w = 0 at n < 3
+        N = I - A
+        if n == 3:
+            w = np.array([A[1, 2], -A[0, 2], A[0, 1]])
+            N += np.outer(w, w)
+        C = N / (1.0 + np.sum(x * x))
+    Q = base @ (2.0 * C - I)
     H = np.maximum(np.where(sarr != 0, margin - sarr * Q, 0.0), 0.0)
     Z = np.where(sarr == 0, Q, 0.0)
     f = float(np.sum(H * H)) + float(np.sum(Z * Z))
     G = -2.0 * H * sarr + 2.0 * Z
-    W = -(I + M).T @ base.T @ G @ C.T
+    W = -2.0 * C.T @ base.T @ G @ C.T
     grad = W[iu] - W.T[iu]
     return Q, f, grad
 
@@ -301,6 +334,6 @@ def chart_value_grad(S, x, base, margin):
     sarr = sign_array(S)[None]
     base = np.asarray(base, dtype=float)[None]
     K, I = _chart_map(S.n), np.eye(S.n)
-    _, f, _, C, M, G = _chart_values(np.asarray(x, dtype=float)[None], K, I, base, sarr,
-                                     *_penalty_masks(sarr, margin))
-    return float(f[0]), _chart_grad(base, C, M, G, K.T, I)[0]
+    _, f, _, C, G = _chart_values(np.asarray(x, dtype=float)[None], K, I, base, sarr,
+                                  *_penalty_masks(sarr, margin))
+    return float(f[0]), _chart_grad(base, C, G, K.T)[0]

@@ -190,6 +190,23 @@ def test_ragged_float_seed_file(fixture_dir, tmp_path, capsys):
     assert "inhomogeneous" not in err
 
 
+@pytest.mark.parametrize("text, error", [
+    ("[[true, false], [false, true]]", "must be a square nested array of numbers"),
+    ('[["1", "0"], ["0", "1"]]', "must be a square nested array of numbers"),
+    ("[[1, 0], [0, null]]", "must be a square nested array of numbers"),
+    ("[]", "must be a square nested array of numbers"),
+    ("[[1, 0]]", "must be a square nested array of numbers"),
+    ("[[[1]]]", "must be a square nested array of numbers"),
+    ("[[1, 0], [0, NaN]]", "has non-finite entries"),
+    ("[[1" + "0" * 400 + ", 0], [0, 1]]", "has non-finite entries"),
+])
+def test_bad_float_seed_file(fixture_dir, tmp_path, capsys, text, error):
+    seeds = tmp_path / "s.json"
+    seeds.write_text(text)
+    assert main(["hunt", str(fixture_dir / "s3.pat"), "--seeds", str(seeds)]) == 2
+    assert f"float matrix in {seeds} {error}" in capsys.readouterr().err
+
+
 def test_missing_file(capsys):
     assert main(["verify", "/nonexistent/never.json"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -31,6 +31,7 @@ from orthosign.signpat import (
 from oracles import (
     chart_q,
     chart_value_grad,
+    exact_cayley_q,
     reference_accept,
     reference_refine_from,
     reference_search_realization,
@@ -64,10 +65,30 @@ def test_cayley_orthogonality_residual():
 
 def test_cayley_preserves_base_determinant_sign():
     rng = np.random.default_rng(7)
-    base = np.diag([-1.0] + [1.0] * 4)
-    for _ in range(50):
-        x = rng.uniform(-3, 3, 10)
-        assert float_det_sign(chart_q(5, x, base)) == -1
+    for n in (2, 3, 5):
+        base = np.diag([-1.0] + [1.0] * (n - 1))
+        for _ in range(50):
+            x = rng.uniform(-3, 3, n * (n - 1) // 2)
+            assert float_det_sign(chart_q(n, x, base)) == -1
+
+
+def test_chart_matches_exact_cayley_transform():
+    # the closed form at n <= 3 and the LAPACK inverse at n = 4, against Q
+    # computed exactly from the same float x; Q is orthogonal, so the max
+    # entry error is also the error relative to |Q| = 1.  A float reference
+    # (I - A) @ inv(I + A) would not do at n = 3: I + A has condition number
+    # sqrt(1 + |x|^2) there, and LAPACK's result is off by ~1e-13 at
+    # |x| = 1e3 and ~1e-8 at |x| = 1e8.
+    rng = np.random.default_rng(314)
+    for n in (1, 2, 3, 4):
+        m = n * (n - 1) // 2
+        points = [rng.uniform(-3, 3, m) for _ in range(200 if m else 1)]
+        for scale in (1e-8, 1.0, 1e3, 1e8):
+            for _ in range(10 if m else 0):
+                v = rng.normal(size=m)
+                points.append(v * (scale / np.linalg.norm(v)))
+        for x in points:
+            assert np.max(np.abs(chart_q(n, x) - exact_cayley_q(n, x))) <= 1e-13, (n, x)
 
 
 # -- objective -------------------------------------------------------------------
