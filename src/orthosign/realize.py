@@ -119,6 +119,8 @@ def _chart_map(n: int) -> np.ndarray:
 def ortho_residual(Q: np.ndarray) -> float:
     """Max-norm of Q^T Q - I."""
     Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError("ortho_residual expects a square matrix")
     return float(np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0]))))
 
 

@@ -7,6 +7,10 @@ combinatorial necessary condition (no pair of rows/columns may have a
 sign-forced nonzero dot product, no zero line), the one-parameter family with
 -1 on diagonal positions 2..n, and the symmetry group of the problem
 (row/column signed permutations plus transposition) with its orbits.
+
+The action is written once, as GroupElement.index_map: act, orbit_of and
+orbit_representatives all use it and the generators of _generators(n);
+canonical_form keeps its own brute-force loops as an independent check.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -38,11 +43,13 @@ class SignPattern:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("pattern order must be at least 1")
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        if len(self.entries) != self.n * self.n:
-            raise ValueError(f"expected {self.n * self.n} entries, got {len(self.entries)}")
-        if any(e not in (-1, 0, 1) for e in self.entries):
+        entries = tuple(self.entries)
+        if len(entries) != self.n * self.n:
+            raise ValueError(f"expected {self.n * self.n} entries, got {len(entries)}")
+        # check before int() so that 0.5 or 1.7 is an error, not a truncated 0 or 1
+        if any(e not in (-1, 0, 1) for e in entries):
             raise ValueError("pattern entries must be -1, 0 or +1")
+        object.__setattr__(self, "entries", tuple(int(e) for e in entries))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SignPattern":
@@ -104,15 +111,12 @@ def sign_pattern_of(M, zero_tol: float = 0.0) -> SignPattern:
         return SignPattern(M.rows, tuple(sgn(e) for e in M.entries))
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
-    n, m = M.shape
-    if n != m:
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("sign pattern is defined for square matrices")
-    ent = []
-    for i in range(n):
-        for j in range(m):
-            x = float(M[i, j])
-            ent.append(0 if abs(x) <= zero_tol else (1 if x > 0 else -1))
-    return SignPattern(n, tuple(ent))
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix entries must be finite")
+    return SignPattern(len(M), np.where(np.abs(M) <= zero_tol, 0, np.sign(M)).astype(int).ravel().tolist())
 
 
 def pair_compatible(u, v) -> bool:
@@ -242,6 +246,15 @@ class GroupElement:
     def n(self) -> int:
         return len(self.row_signs)
 
+    @cached_property
+    def index_map(self) -> tuple:
+        """(source, sign): entry k of g.M, row-major, is sign[k] times entry
+        source[k] of M."""
+        # M'[r][c] is entry r * n + c of M, or c * n + r when transposed
+        rs, cs = (1, self.n) if self.transpose_flag else (self.n, 1)
+        source = tuple(r * rs + c * cs for r in self.row_perm for c in self.col_perm)
+        return source, tuple(a * b for a in self.row_signs for b in self.col_signs)
+
     def det_sign_factor(self) -> int:
         f = perm_sign(self.row_perm) * perm_sign(self.col_perm)
         for s in self.row_signs:
@@ -262,43 +275,39 @@ def random_group_element(rng, n: int) -> GroupElement:
     )
 
 
+def _generators(n: int) -> list:
+    """Transposition, negating column 0 and the n - 1 adjacent column swaps.
+
+    They generate the whole group: transposing turns each column move into
+    the matching row move.
+    """
+    one, idp = (1,) * n, tuple(range(n))
+    gens = [GroupElement(one, one, idp, idp, True), GroupElement(one, (-1,) + one[1:], idp, idp)]
+    for j in range(n - 1):
+        swap = idp[:j] + (j + 1, j) + idp[j + 2 :]
+        gens.append(GroupElement(one, one, idp, swap))
+    return gens
+
+
 def act(g: GroupElement, X):
-    """Apply a symmetry to a SignPattern, an exact matrix or a float matrix."""
+    """Apply a symmetry to a SignPattern, an exact matrix or a float matrix,
+    through g.index_map."""
     if isinstance(X, SignPattern):
         n = X.n
     elif isinstance(X, ExactMatrix):
-        if X.rows != X.cols:
-            raise ValueError("group acts on square matrices only")
-        n = X.rows
+        n = X.rows if X.rows == X.cols else None
     else:
-        n, m = X.shape
-        if n != m:
-            raise ValueError("group acts on square matrices only")
+        X = np.asarray(X, dtype=float)
+        n = len(X) if X.ndim == 2 and X.shape[0] == X.shape[1] else None
+    if n is None:
+        raise ValueError("group acts on square matrices only")
     if g.n != n:
         raise ValueError(f"group element of order {g.n} cannot act on order {n}")
-
-    def src(i, j):
-        return (j, i) if g.transpose_flag else (i, j)
-
-    if isinstance(X, SignPattern):
-        ent = tuple(
-            g.row_signs[i] * g.col_signs[j] * X[src(g.row_perm[i], g.col_perm[j])]
-            for i in range(n)
-            for j in range(n)
-        )
-        return SignPattern(n, ent)
-    if isinstance(X, ExactMatrix):
-        ent = tuple(
-            X[src(g.row_perm[i], g.col_perm[j])] * (g.row_signs[i] * g.col_signs[j])
-            for i in range(n)
-            for j in range(n)
-        )
-        return type(X)(n, n, ent)
-    out = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = g.row_signs[i] * g.col_signs[j] * X[src(g.row_perm[i], g.col_perm[j])]
-    return out
+    source, sign = g.index_map
+    if isinstance(X, np.ndarray):
+        return (X.reshape(-1)[list(source)] * np.array(sign)).reshape(n, n)
+    ent = tuple(X.entries[k] * s for k, s in zip(source, sign))
+    return SignPattern(n, ent) if isinstance(X, SignPattern) else type(X)(n, n, ent)
 
 
 _CANONICAL_MAX_ORDER = 4
@@ -334,34 +343,14 @@ def canonical_form(S: SignPattern) -> SignPattern:
 
 
 def orbit_of(S: SignPattern) -> frozenset:
-    """Entire symmetry orbit of S, grown by closure under group generators."""
+    """Entire symmetry orbit of S: its closure under act with _generators."""
     if S.n > _CANONICAL_MAX_ORDER:
         raise UnsupportedOrderError(f"orbit enumeration supports order <= {_CANONICAL_MAX_ORDER}, got {S.n}")
-    n = S.n
-
-    def swap_rows(p, i):
-        e = p.entries
-        return SignPattern(n, e[: i * n] + e[(i + 1) * n : (i + 2) * n] + e[i * n : (i + 1) * n] + e[(i + 2) * n :])
-
-    def neg_row0(p):
-        return SignPattern(n, tuple(-e if i < n else e for i, e in enumerate(p.entries)))
-
-    generators = [lambda p: p.transpose(), neg_row0, lambda p: neg_row0(p.transpose()).transpose()]
-    for i in range(n - 1):
-        generators.append(lambda p, i=i: swap_rows(p, i))
-        generators.append(lambda p, i=i: swap_rows(p.transpose(), i).transpose())
-
-    seen = {S}
-    frontier = [S]
+    generators = _generators(S.n)
+    seen, frontier = {S}, [S]
     while frontier:
-        nxt = []
-        for p in frontier:
-            for gen in generators:
-                q = gen(p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
+        frontier = [q for q in {act(g, p) for p in frontier for g in generators} if q not in seen]
+        seen.update(frontier)
     return frozenset(seen)
 
 
@@ -374,11 +363,12 @@ def orbit_representatives(n: int) -> list:
     coded alike, and negating one takes its code c to 3**n - 1 - c.  The
     labels are row classes, patterns up to row negations and row order, each
     coded by its sorted rows, every row the lesser of v and -v: the least
-    pattern of the class, as in canonical_form.  Transposition, negating
-    column 0 and the adjacent column swaps map each class to the class of
-    its image.  Taking the minimum label over those maps, then jumping labels
-    to their own labels, until nothing changes leaves every class labelled
-    by the least class, so the least pattern, of its orbit.
+    pattern of the class, as in canonical_form.  Each of _generators(n),
+    applied through its index_map to the flattened class grids, maps each
+    class to the class of its image.  Taking the minimum label over those
+    maps, then jumping labels to their own labels, until nothing changes
+    leaves every class labelled by the least class, so the least pattern,
+    of its orbit.
     """
     if n < 1:
         raise ValueError("order must be at least 1")
@@ -392,18 +382,18 @@ def orbit_representatives(n: int) -> list:
     # lexicographic tuples of sorted rows, so the class codes come out sorted
     class_rows = np.array(list(itertools.combinations_with_replacement(range(zero_row + 1), n)), dtype=np.int64)
     codes = class_rows @ row_place
-    grids = class_rows[:, :, None] // digit_place % 3 - 1
+    flat = (class_rows[:, :, None] // digit_place % 3 - 1).reshape(len(codes), n * n)
 
-    def class_of(grids):
-        rows = (grids + 1) @ digit_place
+    images = []
+    for g in _generators(n):
+        source, sign = g.index_map
+        # row i of the image codes as the sum over j of (sign * entry + 1) *
+        # digit_place[j], one product of flat with a weight per source entry
+        weight = np.zeros((n * n, n), dtype=np.int64)
+        weight[source, np.arange(n * n) // n] = np.multiply(sign, np.tile(digit_place, n))
+        rows = flat @ weight + zero_row
         rows = np.sort(np.minimum(rows, width - 1 - rows), axis=1)
-        return np.searchsorted(codes, rows @ row_place)
-
-    images = [class_of(grids.transpose(0, 2, 1)), class_of(grids * ([-1] + [1] * (n - 1)))]
-    for j in range(n - 1):
-        swap = np.arange(n)
-        swap[[j, j + 1]] = swap[[j + 1, j]]
-        images.append(class_of(grids[:, :, swap]))
+        images.append(np.searchsorted(codes, rows @ row_place))
 
     label = np.arange(len(codes))
     gathered = np.empty_like(label)
@@ -424,4 +414,4 @@ def orbit_representatives(n: int) -> list:
     reps, orbit_of_class = np.unique(label, return_inverse=True)
     sizes = np.zeros(len(reps), dtype=np.int64)
     np.add.at(sizes, orbit_of_class, class_size)
-    return [(SignPattern(n, tuple(g)), s) for g, s in zip(grids[reps].reshape(len(reps), -1).tolist(), sizes.tolist())]
+    return [(SignPattern(n, e), s) for e, s in zip(flat[reps].tolist(), sizes.tolist())]

@@ -4,7 +4,11 @@ Everything here is deliberately written from scratch on plain Python data
 (lists of ints/Fractions, tuples of tuples) so it shares no code path with
 the package under test.  There are two exceptions.  The reference orbit
 enumeration closes one orbit at a time with the package's orbit_of, over
-whole patterns, not row classes.  The reference realization search is the
+whole patterns, not row classes; orbit_of shares the group action and its
+generators with the row-class labeller.  The independent checks are the
+Burnside count and canonical_form on the labeller's output, and
+brute_force_orbit, every element of full_symmetry_group applied with
+apply_symmetry, on orbit_of itself.  The reference realization search is the
 sequential, one-restart-at-a-time descent on 2-D numpy arrays that the
 lock-step engine must reproduce bit for bit, so it reuses the package's
 target parsing, base drawing and result assembly.  It keeps its own sign

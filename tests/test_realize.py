@@ -174,6 +174,14 @@ def test_reorthonormalize_rejects_singular():
         reorthonormalize(np.ones((3, 3)))
 
 
+def test_ortho_residual_rejects_non_square_input():
+    # a vector and a 3 x 2 matrix are errors, not a residual or a numpy
+    # broadcast failure
+    for bad in (np.array([1.0, 0.0]), np.ones((3, 2))):
+        with pytest.raises(ValueError, match="expects a square matrix"):
+            ortho_residual(bad)
+
+
 # -- search ---------------------------------------------------------------------
 
 def test_search_finds_s3(s3):

@@ -54,6 +54,11 @@ def test_pattern_rejects_bad_entries():
         SignPattern(2, (1, 0, -1))
     with pytest.raises(ValueError):
         SignPattern.from_rows([[1, 0, 0], [0, 1], [0, 0, 0, 1]])
+    # non-integral values are errors, not truncated to 0 or 1
+    for bad in (0.5, 1.7, -0.9):
+        with pytest.raises(ValueError):
+            SignPattern(2, (bad, 1, -1, 1))
+    assert SignPattern(2, (1.0, 0.0, -1.0, 1)).entries == (1, 0, -1, 1)
 
 
 def test_pattern_text_errors_carry_location():
@@ -87,6 +92,12 @@ def test_sign_pattern_of_float_with_tolerance():
 def test_sign_pattern_of_exact_requires_zero_tol(q1):
     with pytest.raises(ValueError):
         sign_pattern_of(q1, 1e-9)
+
+
+def test_sign_pattern_of_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sign_pattern_of(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 # -- pair compatibility and the necessary check --------------------------------
@@ -228,9 +239,12 @@ def test_sign_pattern_act_equivariance():
 def test_act_on_float_matrix():
     rng = random.Random(5)
     M = np.arange(9, dtype=float).reshape(3, 3) - 4.0
+    grid = tuple(tuple(r) for r in M.tolist())
     for _ in range(20):
         g = random_group_element(rng, 3)
         out = act(g, M)
+        expected = apply_symmetry(grid, g.row_signs, g.col_signs, g.row_perm, g.col_perm, g.transpose_flag)
+        assert np.array_equal(out, np.array(expected))
         assert sign_pattern_of(out, 0.0) == act(g, sign_pattern_of(RatMatrix.from_rows([[int(v) for v in r] for r in M])))
 
 
@@ -268,6 +282,19 @@ def test_canonical_form_is_minimum_of_orbit():
         orbit = orbit_of(S)
         assert canonical_form(S) == min(orbit, key=lambda p: p.entries)
         assert S in orbit
+
+
+def test_orbit_of_matches_brute_force_orbit():
+    # the whole group, element by element, against closure under the
+    # generators: every pattern at n = 2, a sample at n = 3
+    rng = random.Random(37)
+    samples = [SignPattern(2, e) for e in itertools.product((-1, 0, 1), repeat=4)]
+    samples += [SignPattern(3, tuple(rng.choice((-1, 0, 1)) for _ in range(9))) for _ in range(6)]
+    groups = {n: full_symmetry_group(n) for n in (2, 3)}
+    for S in samples:
+        grid = tuple(S.row(i) for i in range(S.n))
+        expected = {SignPattern.from_rows(g) for g in brute_force_orbit(grid, groups[S.n])}
+        assert orbit_of(S) == expected
 
 
 def test_canonical_form_matches_brute_force_at_n2():
