@@ -73,8 +73,6 @@ def _config_from_args(args) -> SearchConfig:
         restarts=args.restarts,
         max_iters=args.max_iters,
         margin=args.margin,
-        zero_tol=args.zero_tol,
-        ortho_tol=args.ortho_tol,
         rng_seed=args.seed,
         time_budget=args.time_budget,
         denom_bound=args.denom_bound,
@@ -87,8 +85,6 @@ def _add_search_flags(p: argparse.ArgumentParser, defaults: SearchConfig | None 
     p.add_argument("--restarts", type=int, default=d.restarts, help="random restarts (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=d.max_iters, help="descent iterations per restart (default %(default)s)")
     p.add_argument("--margin", type=float, default=d.margin, help="required sign clearance (default %(default)s)")
-    p.add_argument("--zero-tol", type=float, default=d.zero_tol, help="tolerance for zero-pattern entries (default %(default)s)")
-    p.add_argument("--ortho-tol", type=float, default=d.ortho_tol, help="orthogonality residual tolerance (default %(default)s)")
     p.add_argument("--time-budget", type=float, default=None,
                    help="wall-clock limit in seconds for the whole command, all searches of a hunt or "
                         "census together (default none)")

@@ -171,9 +171,6 @@ class ExactMatrix:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def transpose(self):
         return type(self)(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
 

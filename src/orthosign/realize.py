@@ -29,8 +29,10 @@ map).  It inverts I + A in closed form at orders n <= 3, where
 det(I + A) = 1 + |x|^2, and with LAPACK at n >= 4, and it takes
 (I - A)(I + A)^-1 as 2 (I + A)^-1 - I, with no matrix product.  A find has
 one success test, in _lockstep_descent: every signed entry clears the
-margin, every zero-pattern entry is within zero_tol, and the matrix with
-those entries snapped to 0 is orthogonal within ortho_tol.  The only find
+margin, every zero-pattern entry is within _ZERO_TOL, and the matrix with
+those entries snapped to 0 is orthogonal within _ORTHO_TOL (both 1e-9).
+The search only proposes witnesses, which exact checks confirm, so these
+tolerances are engine constants, not settings.  The only find
 outside descent is a random base that equals the pattern's sign array,
 which passes that test exactly.
 
@@ -65,7 +67,7 @@ def _normalize_target(target: Target):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets and tolerances for realization search, one field per CLI flag.
+    """Settings of realization search, one field per CLI flag.
 
     margin is the sign clearance requested of every nonzero-pattern entry;
     note the default 0.05 is deliberately robust and must be lowered (the CLI
@@ -75,14 +77,14 @@ class SearchConfig:
     The line search is fixed Armijo backtracking: first step 1, constant
     1e-4, steps halved on rejection and doubled (up to 1) on acceptance, and
     a restart stops once its step falls below 1e-14 (_STEP_INIT, _ARMIJO,
-    _STEP_SHRINK, _STEP_GROW and _STEP_MIN).
+    _STEP_SHRINK, _STEP_GROW and _STEP_MIN).  The success test is fixed too:
+    zero-pattern entries within _ZERO_TOL and an orthogonality residual
+    within _ORTHO_TOL, both 1e-9.
     """
 
     restarts: int = 50
     max_iters: int = 2000
     margin: float = 0.05
-    zero_tol: float = 1e-9
-    ortho_tol: float = 1e-9
     rng_seed: int = 0
     time_budget: Optional[float] = None
     denom_bound: Optional[int] = None
@@ -91,9 +93,6 @@ class SearchConfig:
         # every check is written so that NaN fails it
         if not (0 < self.margin < 1):
             raise ValueError("margin must lie in (0, 1)")
-        for name in ("zero_tol", "ortho_tol"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
         # restarts=0 is valid (polish given seeds only), and so is time_budget=0
         for name in ("restarts", "max_iters", "rng_seed"):
             if getattr(self, name) < 0:
@@ -253,7 +252,7 @@ def _chart_grad(bases: np.ndarray, C: np.ndarray, G: np.ndarray, KT: np.ndarray)
 class RealizationResult:
     """A numerically found orthogonal realization of a sign pattern.
 
-    q is reported with sub-zero_tol entries on zero-pattern positions snapped
+    q is reported with sub-_ZERO_TOL entries on zero-pattern positions snapped
     to exact 0; ortho_residual, min_margin and objective_value refer to this
     reported matrix, while max_zero_violation records the worst zero-pattern
     entry magnitude before snapping.
@@ -297,6 +296,9 @@ _TRIALS = 3
 # halving is exact, so step * _TRIAL_SCALES[j] has the bits of j repeated
 # halvings of step
 _TRIAL_SCALES = _STEP_SHRINK ** np.arange(_TRIALS)
+# the success test: largest zero-pattern entry, and max |Q^T Q - I| of the
+# matrix with those entries snapped to 0
+_ZERO_TOL = _ORTHO_TOL = 1e-9
 
 
 def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bases: np.ndarray, x0: np.ndarray,
@@ -363,14 +365,14 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
             # the zero-pattern test for all hits at once (max is exact); most
             # hits of patterns with zeros fail it
             Qh = np.abs(Qt[k[hit], j[hit]])
-            hit = hit[np.max(Qh, axis=(1, 2), where=zero[k[hit], 0], initial=0.0) <= cfg.zero_tol]
+            hit = hit[np.max(Qh, axis=(1, 2), where=zero[k[hit], 0], initial=0.0) <= _ZERO_TOL]
             for i in hit:
                 r = k[i]
                 s = int(group[r])
                 if s in won:
                     continue  # a lower restart of its search succeeded this round
                 Qz = np.where(zero[r, 0], 0.0, Qt[r, j[i]])
-                if ortho_residual(Qz) <= cfg.ortho_tol:
+                if ortho_residual(Qz) <= _ORTHO_TOL:
                     best[s] = (int(slot[r]), Qz, Qt[r, j[i]], int(it[r]))
                     won[s] = r
         it += moved

@@ -97,26 +97,19 @@ class SignPattern:
         return self.to_text()
 
 
-def sign_pattern_of(M, zero_tol: float = 0.0) -> SignPattern:
-    """Entrywise sign pattern of an exact or float square matrix.
-
-    Exact matrices demand zero_tol == 0.  For float matrices, entries with
-    |x| <= zero_tol count as zero.
-    """
+def sign_pattern_of(M) -> SignPattern:
+    """Entrywise sign pattern of an exact or finite float square matrix; only
+    an exact 0 (or -0.0) counts as zero."""
     if isinstance(M, ExactMatrix):
-        if zero_tol != 0:
-            raise ValueError("zero_tol must be 0 for exact matrices")
         if M.rows != M.cols:
             raise ValueError("sign pattern is defined for square matrices")
         return SignPattern(M.rows, tuple(sgn(e) for e in M.entries))
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("sign pattern is defined for square matrices")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
-    return SignPattern(len(M), np.where(np.abs(M) <= zero_tol, 0, np.sign(M)).astype(int).ravel().tolist())
+    return SignPattern(len(M), np.sign(M).astype(int).ravel().tolist())
 
 
 def pair_compatible(u, v) -> bool:

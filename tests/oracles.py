@@ -206,14 +206,15 @@ def reference_chart_value_grad(sarr, x, base, margin):
 def reference_accept(sarr, Q, cfg):
     """The success test, written out from its definition: every signed entry
     has its sign and clears cfg.margin, every zero-pattern entry is within
-    cfg.zero_tol of 0, and the matrix with those entries set to 0 has
-    max |Q^T Q - I| within cfg.ortho_tol.  Returns that snapped matrix, or
-    None."""
+    1e-9 of 0, and the matrix with those entries set to 0 has
+    max |Q^T Q - I| within 1e-9.  Returns that snapped matrix, or None.  The
+    tolerances are written out here, not imported, so a changed engine
+    constant shows as a mismatch."""
     signed, zeros = sarr != 0, sarr == 0
-    if not (np.all(sarr[signed] * Q[signed] >= cfg.margin) and np.all(np.abs(Q[zeros]) <= cfg.zero_tol)):
+    if not (np.all(sarr[signed] * Q[signed] >= cfg.margin) and np.all(np.abs(Q[zeros]) <= 1e-9)):
         return None
     Qz = np.where(zeros, 0.0, Q)
-    return Qz if np.max(np.abs(Qz.T @ Qz - np.eye(len(Q)))) <= cfg.ortho_tol else None
+    return Qz if np.max(np.abs(Qz.T @ Qz - np.eye(len(Q)))) <= 1e-9 else None
 
 
 def reference_descend(sarr, base, x0, cfg, step_min=1e-14):

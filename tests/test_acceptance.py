@@ -181,7 +181,7 @@ def test_criterion_9_property_suites(pstar, q1):
         g = GroupElement((-1,) + (1,) * 6, (1,) * 7, tuple(range(7)), tuple(range(7)))
         flipped = act(g, res.q)
         assert ortho_residual(flipped) <= 1e-9
-        assert sign_pattern_of(flipped, 1e-9) == act(g, pstar)
+        assert sign_pattern_of(flipped) == act(g, pstar)
         assert np.sign(np.linalg.det(flipped)) == -1.0
 
         # sign_pattern_of/act equivariance over 500 random pairs

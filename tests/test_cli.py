@@ -207,6 +207,50 @@ def test_bad_float_seed_file(fixture_dir, tmp_path, capsys, text, error):
     assert f"float matrix in {seeds} {error}" in capsys.readouterr().err
 
 
+def test_invalid_json_float_seed_file(fixture_dir, tmp_path, capsys):
+    seeds = tmp_path / "s.json"
+    seeds.write_text("[[1, 0],\n [0, 1]")
+    assert main(["hunt", str(fixture_dir / "s3.pat"), "--seeds", str(seeds)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid JSON in {seeds}" in err
+    assert "(line 2, column 8)" in err
+
+
+def test_pattern_cites_all_zero_row(tmp_path, capsys):
+    path = tmp_path / "z.pat"
+    path.write_text("++\n00\n")
+    assert main(["pattern", str(path)]) == 1
+    assert "row 2 is all zero" in capsys.readouterr().out
+
+
+def test_verify_rejects_non_square_matrix(tmp_path, capsys):
+    from orthosign.exact import RatMatrix
+
+    path = tmp_path / "m.json"
+    path.write_text(matrix_to_json(RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]])))
+    assert main(["verify", str(path)]) == 2
+    assert "verify expects a square matrix, got 2x3" in capsys.readouterr().err
+
+
+def test_fixtures_json_lists_written_files(tmp_path, capsys):
+    out = tmp_path / "fx"
+    assert main(["fixtures", "--out", str(out), "--json"]) == 0
+    written = json.loads(capsys.readouterr().out)["written"]
+    assert sorted(written) == sorted(str(p) for p in out.iterdir())
+    assert len(written) == 6
+
+
+def test_census_ambiguity_exits_1(monkeypatch, capsys):
+    from orthosign.hunt import CensusAmbiguityError
+
+    def ambiguous(order, cfg):
+        raise CensusAmbiguityError("both signs found")
+
+    monkeypatch.setattr("orthosign.cli.census", ambiguous)
+    assert main(["census", "--order", "2"]) == 1
+    assert "CENSUS FAILURE: both signs found" in capsys.readouterr().err
+
+
 def test_missing_file(capsys):
     assert main(["verify", "/nonexistent/never.json"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -224,25 +268,25 @@ def test_realize_rejects_negative_seed(fixture_dir, capsys):
     assert "rng_seed must be nonnegative" in capsys.readouterr().err
 
 
-def test_realize_rejects_nan_tolerance(fixture_dir, capsys):
-    # every comparison with NaN is false, so a NaN tolerance must not slip
-    # through validation and let nonzero entries on zero positions pass
-    assert main(["realize", str(fixture_dir / "s3.pat"), "--zero-tol", "nan",
-                 "--restarts", "5", "--max-iters", "200"]) == 2
-    assert "zero_tol" in capsys.readouterr().err
+def test_realize_rejects_tolerance_flags(fixture_dir, capsys):
+    # the success test's tolerances are engine constants, not settings
+    for flag in ("--zero-tol", "--ortho-tol"):
+        with pytest.raises(SystemExit) as exc:
+            main(["realize", str(fixture_dir / "s3.pat"), flag, "1e-9"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_search_flags_set_every_config_field():
     # a non-default value for every search flag; a SearchConfig field that no
     # flag reaches would be a hidden setting
-    want = SearchConfig(restarts=7, max_iters=123, margin=0.03, zero_tol=1e-7, ortho_tol=1e-8,
-                        rng_seed=11, time_budget=2.5, denom_bound=99)
+    want = SearchConfig(restarts=7, max_iters=123, margin=0.03, rng_seed=11, time_budget=2.5, denom_bound=99)
     args = build_parser().parse_args(
         ["realize", "s3.pat", "--seed", "11", "--restarts", "7", "--max-iters", "123", "--margin", "0.03",
-         "--zero-tol", "1e-7", "--ortho-tol", "1e-8", "--time-budget", "2.5", "--denom-bound", "99"])
+         "--time-budget", "2.5", "--denom-bound", "99"])
     assert _config_from_args(args) == want
     assert {f.name for f in fields(SearchConfig)} == {
-        "restarts", "max_iters", "margin", "zero_tol", "ortho_tol", "rng_seed", "time_budget", "denom_bound"}
+        "restarts", "max_iters", "margin", "rng_seed", "time_budget", "denom_bound"}
 
 
 def test_usage_error_exits_2():
@@ -279,6 +323,15 @@ class _ClosedPipe:
 def test_closed_reader_exits_141_quietly(capsys):
     assert main(["census", "--order", "2"], out=_ClosedPipe()) == 141
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_module_entry_point(fixture_dir):
+    env = dict(os.environ, PYTHONPATH=str(Path(orthosign.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "orthosign", "pattern", str(fixture_dir / "t3.pat")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("pass: false\n")
+    assert proc.stderr == ""
 
 
 def test_closed_pipe_exits_141_quietly():

@@ -292,6 +292,19 @@ def test_quad_entry_roundtrip(x):
         assert v == x
 
 
+def test_str_renders_every_cell_in_the_entry_grammar(q1, r3):
+    for M in (q1, r3):
+        lines = str(M).splitlines()
+        assert len(lines) == M.rows
+        for i, line in enumerate(lines):
+            assert line.startswith("[") and line.endswith("]")
+            cells = line[1:-1].split()
+            assert len(cells) == M.cols
+            for j, cell in enumerate(cells):
+                assert parse_entry(cell) == M[i, j] == parse_entry(str(M[i, j]))
+    assert str(r3[0, 0]) == "1/2*sqrt2"
+
+
 def test_matrix_json_roundtrip(q1, r3):
     for M in (q1, r3):
         assert parse_matrix_json(matrix_to_json(M)) == M

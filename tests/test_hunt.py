@@ -118,7 +118,7 @@ def test_census_time_budget_covers_whole_census(monkeypatch):
     assert finds
     for pattern, res in finds:
         assert res.iterations == 0 and ortho_residual(res.q) == 0.0
-        assert sign_pattern_of(res.q, 0.0) == pattern
+        assert sign_pattern_of(res.q) == pattern
         assert round(np.linalg.det(res.q)) == res.det_sign
 
 
@@ -135,9 +135,9 @@ def test_census_order_4():
     for row in searched:
         for res in (row.evidence.plus_result, row.evidence.minus_result):
             if res is not None:
-                assert sign_pattern_of(res.q, 0.0) == row.pattern
+                assert sign_pattern_of(res.q) == row.pattern
                 assert np.linalg.slogdet(res.q)[0] == res.det_sign
-                assert ortho_residual(res.q) <= cfg.ortho_tol
+                assert ortho_residual(res.q) <= 1e-9
 
 
 def test_census_rejects_large_order():
@@ -158,7 +158,7 @@ def test_symmetry_pushforward_on_pstar_find(pstar, q1):
     g = GroupElement((-1,) + (1,) * 6, (1,) * 7, tuple(range(7)), tuple(range(7)))
     flipped = act(g, res.q)
     assert ortho_residual(flipped) <= 1e-9
-    assert sign_pattern_of(flipped, cfg.zero_tol) == act(g, pstar)
+    assert sign_pattern_of(flipped) == act(g, pstar)
     assert g.det_sign_factor() == -1
     assert np.sign(np.linalg.det(flipped)) == -res.det_sign
 

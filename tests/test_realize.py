@@ -1,6 +1,7 @@
 import itertools
 import threading
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_objective_zero_implies_pattern_agreement():
     res = search_realization(S, "any", SearchConfig(rng_seed=1))
     assert res is not None
     assert objective(S, res.q, 1e-6) == 0.0
-    P = sign_pattern_of(res.q, 0.0)
+    P = sign_pattern_of(res.q)
     for i in range(3):
         for j in range(3):
             if S[i, j] != 0:
@@ -190,7 +191,7 @@ def test_search_finds_s3(s3):
     assert res.ortho_residual <= 1e-9
     assert res.max_zero_violation <= 1e-9
     assert res.min_margin >= 0.05
-    assert sign_pattern_of(res.q, 0.0).entries == s3.entries
+    assert sign_pattern_of(res.q).entries == s3.entries
 
 
 def test_search_short_circuits_on_necessary_failure(t3):
@@ -393,7 +394,7 @@ def test_result_fields_match_pattern_and_matrix(case, s3, pstar, q1, monkeypatch
     zeros = [float(q) for s, q in zip(S.entries, res.q.flat) if s == 0]
     raw_zeros = [abs(float(q)) for s, q in zip(S.entries, raw.flat) if s == 0]
     assert res.min_margin == min(signed) >= cfg.margin
-    assert res.max_zero_violation == max(raw_zeros, default=0.0) <= cfg.zero_tol
+    assert res.max_zero_violation == max(raw_zeros, default=0.0) <= 1e-9
     assert (0 < res.max_zero_violation) == bool(zeros)
     assert all(q == 0.0 for q in zeros)
     penalty = sum(max(cfg.margin - v, 0.0) ** 2 for v in signed) + sum(q * q for q in zeros)
@@ -457,6 +458,15 @@ def test_certify_generic_rotation_fails():
     assert rational_certify(Q, 10) is None
 
 
+def test_certify_rejects_orthogonal_rounding_with_another_pattern():
+    # at denominator 8 a rotation by 1e-6 rounds to the identity, which is
+    # exactly orthogonal but has zeros where the rotation has signs
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    Q = np.array([[c, -s], [s, c]])
+    assert [Fraction(float(q)).limit_denominator(8) for q in Q.flat] == [1, 0, 0, 1]
+    assert rational_certify(Q, 8) is None
+
+
 def test_certify_validates_input():
     with pytest.raises(ValueError):
         rational_certify(np.eye(3), 0)
@@ -482,8 +492,6 @@ def test_certificate_det_sign_matches_reported(pstar, q2):
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(margin=0.0)
-    with pytest.raises(ValueError):
-        SearchConfig(zero_tol=-1.0)
     bad = [
         {"restarts": -1},
         {"max_iters": -3},
@@ -492,8 +500,6 @@ def test_search_config_validation():
         {"denom_bound": 0},
         # every comparison with NaN is false, so each check must fail on it
         {"margin": float("nan")},
-        {"zero_tol": float("nan")},
-        {"ortho_tol": float("nan")},
         {"time_budget": float("nan")},
     ]
     for kw in bad:

@@ -83,15 +83,10 @@ def test_sign_pattern_of_zero_matrix():
     assert sign_pattern_of(Z) == SignPattern(2, (0, 0, 0, 0))
 
 
-def test_sign_pattern_of_float_with_tolerance():
+def test_sign_pattern_of_float_counts_only_exact_zeros():
     Q = np.array([[0.5, 1e-12], [-1e-12, -0.5]])
-    assert sign_pattern_of(Q, 1e-9) == SignPattern.from_rows([[1, 0], [0, -1]])
-    assert sign_pattern_of(Q, 0.0) == SignPattern.from_rows([[1, 1], [-1, -1]])
-
-
-def test_sign_pattern_of_exact_requires_zero_tol(q1):
-    with pytest.raises(ValueError):
-        sign_pattern_of(q1, 1e-9)
+    assert sign_pattern_of(Q) == SignPattern.from_rows([[1, 1], [-1, -1]])
+    assert sign_pattern_of(np.array([[0.0, -0.0], [1.0, 1.0]])) == SignPattern.from_rows([[0, 0], [1, 1]])
 
 
 def test_sign_pattern_of_rejects_non_finite_entries():
@@ -245,7 +240,7 @@ def test_act_on_float_matrix():
         out = act(g, M)
         expected = apply_symmetry(grid, g.row_signs, g.col_signs, g.row_perm, g.col_perm, g.transpose_flag)
         assert np.array_equal(out, np.array(expected))
-        assert sign_pattern_of(out, 0.0) == act(g, sign_pattern_of(RatMatrix.from_rows([[int(v) for v in r] for r in M])))
+        assert sign_pattern_of(out) == act(g, sign_pattern_of(RatMatrix.from_rows([[int(v) for v in r] for r in M])))
 
 
 def test_det_sign_factor_matches_numpy():
