@@ -1,11 +1,13 @@
 """Exact linear algebra over Q and Q(sqrt2).
 
-Everything in this module is integer/fraction arithmetic: no floats are
-created or trusted anywhere.  One dense, row-major, immutable matrix type,
-ExactMatrix, comes in two scalar domains: RatMatrix over Q and QuadMatrix
-over Q(sqrt2).  Orthogonality is decided by computing the Gram matrix A^T A
-exactly and comparing it with the identity; determinants are computed with
-fraction-free (Bareiss) elimination.
+Everything in this module is integer/fraction arithmetic: no float is
+trusted anywhere, and one is made only where a caller asks for float(x).
+One dense, row-major, immutable matrix type, ExactMatrix, comes in two
+scalar domains: RatMatrix over Q and QuadMatrix over Q(sqrt2).  sgn is the
+one sign function for exact scalars.  Orthogonality is decided by computing
+the Gram matrix A^T A exactly and comparing it with the identity;
+determinants are computed with fraction-free (Bareiss) elimination.  Entry
+strings follow one grammar, the pattern _ENTRY_RE.
 """
 
 from __future__ import annotations
@@ -34,12 +36,20 @@ class ParseError(ValueError):
 def sgn(x) -> int:
     """Sign of an exact number (int, Fraction or QuadRational): -1, 0 or +1."""
     if isinstance(x, QuadRational):
-        return x.sign()
+        sa, sb = sgn(x.a), sgn(x.b)
+        if sa * sb >= 0:
+            return sa or sb
+        # opposite signs: compare a^2 with 2b^2 (equality would force a=b=0)
+        return sa * sgn(x.a * x.a - 2 * x.b * x.b)
     if x > 0:
         return 1
     if x < 0:
         return -1
     return 0
+
+
+# the double nearest sqrt(2), as an exact fraction (relative error < 7e-17)
+_SQRT2 = Fraction(1.4142135623730951)
 
 
 @dataclass(frozen=True)
@@ -107,20 +117,16 @@ class QuadRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b))
-
-    def sign(self) -> int:
-        """Exact sign of the real number a + b*sqrt(2)."""
-        sa, sb = sgn(self.a), sgn(self.b)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        # opposite signs: compare a^2 with 2b^2 (equality would force a=b=0)
-        return sa * sgn(self.a * self.a - 2 * self.b * self.b)
+        # a rational it equals hashes the same
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 1.4142135623730951
+        a, b = self.a, self.b
+        if a * b < 0:
+            # a + b*sqrt2 = (a^2 - 2b^2)/(a - b*sqrt2): the two terms of the
+            # denominator share a sign, so nothing cancels; one rounding
+            return float((a * a - 2 * b * b) / (a - b * _SQRT2))
+        return float(a) + float(b) * 1.4142135623730951
 
     def __repr__(self):
         return f"QuadRational({self.a!r}, {self.b!r})"
@@ -282,47 +288,41 @@ def is_orthogonal(A: ExactMatrix) -> bool:
 
 # ---------------------------------------------------------------------------
 # Exact matrix file format: JSON {"rows": n, "cols": m, "entries": [[str]]}
-# where each string is "p", "p/q", "r/s*sqrt2" or "p/q+r/s*sqrt2".
+# with each string in the entry grammar below.
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-# re.ASCII: \d alone also matches the digits of other scripts (U+0661 is 1)
-_RAT_RE = re.compile(_RAT, re.ASCII)
-_QUAD_HEAD_RE = re.compile(rf"(?:(?P<a>{_RAT})(?=[+-]))?(?P<b>[+-]?(?:\d+(?:/\d+)?)?)", re.ASCII)
-
-
-def _parse_rational(s: str) -> Fraction:
-    # Fraction alone also takes "1.5", "1e3" and "1_000", and an exponent
-    # such as "1e2000000" costs time and memory in proportion to its value
-    if _RAT_RE.fullmatch(s) is None:
-        raise ParseError(f"bad rational {s!r}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError as e:
-        raise ParseError(f"bad rational {s!r}: {e}") from None
+# The pattern gates Fraction, which alone would also take "1.5", "1e3" and
+# "1_000", and for an exponent such as "1e2000000" would spend time and
+# memory in proportion to its value.  re.ASCII: \d alone also matches the
+# digits of other scripts (U+0661 is 1).
+_ENTRY_RE = re.compile(
+    r"""
+      (?P<rat> [+-]? \d+ (?: / \d+ )? )               # p or p/q
+    |                                                 # or a + b*sqrt2:
+      (?: (?P<a> [+-]? \d+ (?: / \d+ )? ) (?=[+-]) )?  # optional p/q, then a sign
+      (?P<sign> [+-]? )                               # (optional without p/q)
+      (?: (?P<b> \d+ (?: / \d+ )? ) \*? )?            # optional r/s, '*' optional
+      sqrt2
+    """,
+    re.ASCII | re.VERBOSE,
+)
 
 
 def parse_entry(s: str):
-    """Parse one exact entry string into a Fraction or QuadRational."""
-    text = s.strip()
-    if not text:
-        raise ParseError("empty matrix entry")
-    if "sqrt2" not in text:
-        return _parse_rational(text)
-    if text.count("sqrt2") != 1 or not text.endswith("sqrt2"):
-        raise ParseError(f"bad entry {s!r}")
-    head = text[: -len("sqrt2")]
-    if head.endswith("*"):
-        head = head[:-1]
-    m = _QUAD_HEAD_RE.fullmatch(head)
+    """Parse one exact entry string into a Fraction or QuadRational.
+
+    The grammar is _ENTRY_RE, matched after dropping leading and trailing
+    whitespace: "p" or "p/q", or [p/q]{+|-}[r/s[*]]sqrt2, where the sign may
+    be left out only when there is no p/q part.
+    """
+    m = _ENTRY_RE.fullmatch(s.strip())
     if m is None:
         raise ParseError(f"bad entry {s!r}")
-    a = m.group("a") or "0"
-    b = m.group("b")
-    if b in ("", "+"):
-        b = "1"
-    elif b == "-":
-        b = "-1"
-    return QuadRational(_parse_rational(a), _parse_rational(b))
+    try:
+        if m["rat"] is not None:
+            return Fraction(m["rat"])
+        return QuadRational(Fraction(m["a"] or 0), Fraction(m["sign"] + (m["b"] or "1")))
+    except ZeroDivisionError:
+        raise ParseError(f"bad entry {s!r}: zero denominator") from None
 
 
 def format_entry(x) -> str:

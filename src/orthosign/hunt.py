@@ -94,15 +94,14 @@ def classify_det_sign(S: SignPattern, cfg: Optional[SearchConfig] = None, seeds=
     cfg = cfg or SearchConfig()
     start = time.monotonic()
     results = {1: None, -1: None}
-    polished_count = 0
-    for seed in seeds or ():
+    seeds = list(seeds or ())
+    for seed in seeds:
         polished = refine_from(seed, S, TARGET_ANY, _remaining(cfg, start))
-        polished_count += 1
         if polished is not None and results[polished.det_sign] is None:
             results[polished.det_sign] = polished
     hunted = [side for side in (1, -1) if results[side] is None and side in sides]
     results.update(zip(hunted, search_many([(S, side) for side in hunted], _remaining(cfg, start))))
-    return _evidence(S, results, hunted, cfg, polished_count)
+    return _evidence(S, results, hunted, cfg, len(seeds))
 
 
 def exhaustive_2x2_oracle() -> dict:

@@ -141,7 +141,9 @@ def reorthonormalize(M) -> np.ndarray:
 
 
 def to_float(M) -> np.ndarray:
-    """Float image of an exact matrix (entries rounded once, to nearest)."""
+    """Float image of an exact matrix: a rational entry is rounded once, to
+    nearest; a Q(sqrt2) entry is within about 2 ulp of its value, also where
+    its two terms nearly cancel."""
     if isinstance(M, ExactMatrix):
         return np.array([[float(M[i, j]) for j in range(M.cols)] for i in range(M.rows)])
     return np.asarray(M, dtype=float)
@@ -385,18 +387,13 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
     return best
 
 
-def _random_signed_perm(rng: np.random.Generator, n: int, det_target: Optional[int]) -> np.ndarray:
-    perm = tuple(int(v) for v in rng.permutation(n))
-    signs = [int(v) for v in rng.integers(0, 2, size=n) * 2 - 1]
-    if det_target is not None:
-        d = perm_sign(perm)
-        for s in signs:
-            d *= s
-        if d != det_target:
-            signs[0] = -signs[0]
+def _random_signed_perm(rng: np.random.Generator, n: int, det_target: int) -> np.ndarray:
+    perm = rng.permutation(n)
+    signs = rng.integers(0, 2, size=n) * 2 - 1
+    if perm_sign(perm) * signs.prod() != det_target:
+        signs[0] = -signs[0]
     B = np.zeros((n, n))
-    for i in range(n):
-        B[i, perm[i]] = signs[i]
+    B[np.arange(n), perm] = signs
     return B
 
 

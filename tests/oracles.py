@@ -20,7 +20,7 @@ with its own axial vector: the closed-form (I + A)^-1 at n <= 3, LAPACK's
 inverse at n >= 4, and Q = base (2 (I + A)^-1 - I).  Bit-identical finds
 need the same floating-point steps, so it cannot use another formula; the
 chart's accuracy is checked against exact_cayley_q, which computes Q over
-Fractions.
+Fractions with exact_cayley, the builder of the order-5 certificates too.
 
 The two helpers at the very end are no reference: chart_q and
 chart_value_grad evaluate the package's own chart, at one point, so that the
@@ -150,14 +150,16 @@ def frac_grid(rows):
     return tuple(tuple(Fraction(e) for e in row) for row in rows)
 
 
-def exact_cayley_q(n, x):
-    """Q = (I - A)(I + A)^-1 at the float chart point x (A's strict upper
-    triangle in row-major order), computed exactly over Fractions by Cramer's
-    rule with det_cofactor and rounded once per entry to float."""
+def exact_cayley(B, a):
+    """Q = B (I - A)(I + A)^-1 over Fractions, as a list of rows: A is the
+    skew matrix whose strict upper triangle in row-major order is a (numbers
+    or strings such as "-10/19"), B a list of rows, and (I + A)^-1 comes from
+    Cramer's rule with det_cofactor."""
+    n = len(B)
     A = [[Fraction(0)] * n for _ in range(n)]
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for (i, j), v in zip(slots, x):
-        A[i][j], A[j][i] = Fraction(float(v)), -Fraction(float(v))
+    for (i, j), v in zip(slots, a):
+        A[i][j], A[j][i] = Fraction(v), -Fraction(v)
     P = [[int(i == j) + A[i][j] for j in range(n)] for i in range(n)]
     det = det_cofactor(P)
 
@@ -166,8 +168,16 @@ def exact_cayley_q(n, x):
         return (-1) ** (i + j) * (det_cofactor(minor) if minor else 1)
 
     C = [[cofactor(j, i) / det for j in range(n)] for i in range(n)]
-    return np.array([[float(sum((int(i == t) - A[i][t]) * C[t][j] for t in range(n))) for j in range(n)]
-                     for i in range(n)])
+    M = [[sum((int(i == t) - A[i][t]) * C[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(B[i][t] * M[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+
+def exact_cayley_q(n, x):
+    """Q = (I - A)(I + A)^-1 at the float chart point x (A's strict upper
+    triangle in row-major order), computed exactly by exact_cayley and
+    rounded once per entry to float."""
+    I = [[int(i == j) for j in range(n)] for i in range(n)]
+    return np.array([[float(v) for v in row] for row in exact_cayley(I, [float(v) for v in x])])
 
 
 # -- sequential reference for realize.search_realization / refine_from -----------

@@ -40,7 +40,7 @@ from orthosign.signpat import (
     waters_forced_sign,
     waters_pattern,
 )
-from oracles import chart_q, chart_value_grad, det_cofactor
+from oracles import chart_q, chart_value_grad, det_cofactor, exact_cayley
 
 
 @contextmanager
@@ -195,3 +195,21 @@ def test_criterion_9_property_suites(pstar, q1):
             )
             ge = random_group_element(pyrng, n)
             assert sign_pattern_of(act(ge, M)) == act(ge, sign_pattern_of(M))
+
+
+def test_order_5_pattern_admits_both_determinant_signs():
+    # rational Cayley certificates Q = B (I - A)(I + A)^-1; each list is the
+    # strict upper triangle of the skew A, (a01, a02, a03, a04, a12, ..., a34)
+    pattern = SignPattern.from_text("+-+-+\n++---\n++--+\n++++-\n+++++")
+    I5 = [[int(i == j) for j in range(5)] for i in range(5)]
+    flip = [[-1 if i == j == 0 else int(i == j) for j in range(5)] for i in range(5)]
+    certificates = (
+        (1, I5, ["1/3", "-10/19", "8/19", "3/5", "19/20", "2/9", "1/6", "5/13", "-9/17", "11/15"]),
+        (-1, flip, ["-2/11", "43/13", "-6/19", "-7/5", "-1", "3/10", "2/3", "35/16", "5/6", "19/15"]),
+    )
+    assert necessary_check(pattern).passed
+    for sign, B, a in certificates:
+        Q = RatMatrix.from_rows(exact_cayley(B, a))
+        assert is_orthogonal(Q)
+        assert det_sign(Q) == sign
+        assert sign_pattern_of(Q) == pattern

@@ -334,6 +334,20 @@ def test_module_entry_point(fixture_dir):
     assert proc.stderr == ""
 
 
+def test_package_imports_neither_scipy_nor_sympy(fixture_dir):
+    # both may be installed next to numpy, where an accidental import would
+    # pass every other test
+    script = ("import sys, orthosign\n"
+              "from orthosign.cli import main\n"
+              "main(['census', '--order', '2', '--json'])\n"
+              f"main(['hunt', {str(fixture_dir / 's3.pat')!r}, '--denom-bound', '8'])\n"
+              "print(sorted(m for m in ('scipy', 'sympy') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(orthosign.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_closed_pipe_exits_141_quietly():
     # block-buffered, short output first meets the closed pipe when flushed;
     # the interpreter's own final flush must then not raise again

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,8 @@ from orthosign.exact import (
     parse_matrix_json,
     sgn,
 )
-from orthosign.signpat import GroupElement, act
+from orthosign.realize import to_float
+from orthosign.signpat import GroupElement, act, sign_pattern_of
 from oracles import det_cofactor, int_matmul, rational_matrix_to_grid, transpose
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -68,8 +71,8 @@ def test_quad_division_inverts_multiplication(x, y):
 def test_quad_sign_matches_float(x):
     f = float(x)
     if abs(f) > 1e-9:
-        assert x.sign() == (1 if f > 0 else -1)
-    if x.sign() == 0:
+        assert sgn(x) == (1 if f > 0 else -1)
+    if sgn(x) == 0:
         assert x.a == 0 and x.b == 0
 
 
@@ -79,6 +82,37 @@ def test_quad_zero_iff_both_components_zero():
     assert QuadRational(1, 0)
     # a + b*sqrt2 = 0 with both nonzero is impossible; nearby values are not 0
     assert QuadRational(Fraction(-7, 5), Fraction(99, 100)) != 0
+    with pytest.raises(ZeroDivisionError):
+        QuadRational(1, 1) / QuadRational(0, 0)
+
+
+def test_quad_hash_matches_equal_rational():
+    # equal numbers hash alike, so a set or dict key sees one number
+    assert len({QuadRational(1, 0), 1}) == 1
+    assert hash(QuadRational(Fraction(-3, 7), 0)) == hash(Fraction(-3, 7))
+    assert {QuadRational(2, 1): "x"}[QuadRational(2, 1)] == "x"
+
+
+def pell_convergent(steps):
+    p, q = 1, 1
+    for _ in range(steps):
+        p, q = p + 2 * q, p + q
+    return Fraction(p, q)
+
+
+def test_quad_float_survives_cancellation():
+    # p/q - sqrt2 with p/q a Pell convergent of sqrt2: the two terms agree to
+    # ~32 digits, so float(a) + float(b)*sqrt2 would keep none of them
+    assert pell_convergent(40).denominator == 1746860020068409
+    for steps in (5, 20, 40, 60):
+        x = pell_convergent(steps)
+        for value in (QuadRational(x, -1), QuadRational(-x, 1), QuadRational(1, -1 / x)):
+            # reference: sqrt2 to 100 digits
+            want = float(value.a + value.b * Fraction(math.isqrt(2 * 10**200), 10**100))
+            assert abs(float(value) - want) <= 2 * math.ulp(want)
+            assert np.sign(float(value)) == sgn(value) != 0
+    M = QuadMatrix.from_rows([[QuadRational(pell_convergent(40), -1)]])
+    assert sign_pattern_of(to_float(M)) == sign_pattern_of(M)
 
 
 def test_rational_embeds_into_quad():
@@ -217,6 +251,8 @@ def test_det_multiplicative():
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         det(RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+    with pytest.raises(ValueError, match="square"):
+        is_orthogonal(RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
 
 
 # -- orthogonality and determinant sign ---------------------------------------
@@ -264,6 +300,7 @@ def test_orthogonal_det_sign_never_zero(q1, q2, r3):
         ("1/2+1/2*sqrt2", QuadRational(Fraction(1, 2), Fraction(1, 2))),
         ("2-3/4*sqrt2", QuadRational(2, Fraction(-3, 4))),
         ("1/2+sqrt2", QuadRational(Fraction(1, 2), 1)),
+        ("3sqrt2", QuadRational(0, 3)),
     ],
 )
 def test_parse_entry(text, value):
@@ -272,7 +309,8 @@ def test_parse_entry(text, value):
 
 @pytest.mark.parametrize("bad", ["", "abc", "1/2/3", "sqrt2*sqrt2", "1/0", "1+2+3*sqrt2", "sqrt3",
                                  "1.5", "1e3", "1_000", "1e2000000", "\u0661/\u0662", "\u0661+sqrt2",
-                                 "1 2", "- 3 / 4", "sqrt 2", "1/2 + sqrt2"])
+                                 "1 2", "- 3 / 4", "sqrt 2", "1/2 + sqrt2",
+                                 "*sqrt2", "1+*sqrt2", "-*sqrt2", "sqrt2*"])
 def test_parse_entry_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_entry(bad)
@@ -327,3 +365,7 @@ def test_parse_matrix_json_rejects_bad_shape():
         parse_matrix_json("{not json")
     with pytest.raises(ParseError, match='"rows" and "cols" must be integers'):
         parse_matrix_json('{"rows": true, "cols": true, "entries": [["1"]]}')
+    with pytest.raises(ParseError, match="row 2 must be a list"):
+        parse_matrix_json('{"rows": 2, "cols": 1, "entries": [["1"], "0"]}')
+    with pytest.raises(ParseError, match="entry must be a string, got int"):
+        parse_matrix_json('{"rows": 1, "cols": 2, "entries": [["1", 0]]}')

@@ -173,6 +173,10 @@ def test_reorthonormalize_idempotent(q2):
 def test_reorthonormalize_rejects_singular():
     with pytest.raises(ValueError):
         reorthonormalize(np.ones((3, 3)))
+    with pytest.raises(ValueError, match="square"):
+        reorthonormalize(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        reorthonormalize(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_ortho_residual_rejects_non_square_input():
@@ -438,6 +442,8 @@ def test_refine_rejects_mismatched_target(pstar, q1):
 def test_refine_rejects_far_from_orthogonal(pstar):
     with pytest.raises(ValueError):
         refine_from(np.ones((7, 7)), pstar, "any", SearchConfig())
+    with pytest.raises(ValueError, match="does not match pattern order"):
+        refine_from(np.eye(3), pstar, "any", SearchConfig())
 
 
 # -- rational certification ---------------------------------------------------------

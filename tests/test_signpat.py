@@ -59,6 +59,10 @@ def test_pattern_rejects_bad_entries():
         with pytest.raises(ValueError):
             SignPattern(2, (bad, 1, -1, 1))
     assert SignPattern(2, (1.0, 0.0, -1.0, 1)).entries == (1, 0, -1, 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        SignPattern(0, ())
+    with pytest.raises(ParseError, match="empty pattern"):
+        SignPattern.from_text("")
 
 
 def test_pattern_text_errors_carry_location():
@@ -93,6 +97,12 @@ def test_sign_pattern_of_rejects_non_finite_entries():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             sign_pattern_of(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+def test_sign_pattern_of_rejects_non_square():
+    for M in (RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), np.ones((2, 3)), np.ones(4)):
+        with pytest.raises(ValueError, match="square"):
+            sign_pattern_of(M)
 
 
 # -- pair compatibility and the necessary check --------------------------------
@@ -161,6 +171,8 @@ def test_waters_pattern_small_orders():
     assert waters_pattern(1) == SignPattern.from_rows([[1]])
     assert waters_pattern(2) == SignPattern.from_rows([[1, 1], [1, -1]])
     assert waters_pattern(3) == SignPattern.from_rows([[1, 1, 1], [1, -1, 1], [1, 1, -1]])
+    with pytest.raises(ValueError, match="at least 1"):
+        waters_pattern(0)
 
 
 def test_waters_forced_sign_alternates():
@@ -201,6 +213,9 @@ def test_group_element_validation():
 def test_action_size_mismatch(pstar):
     with pytest.raises(ValueError):
         act(GroupElement.identity(3), pstar)
+    for M in (RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="square matrices only"):
+            act(GroupElement.identity(2), M)
 
 
 def test_action_matches_oracle():
@@ -319,6 +334,8 @@ def test_canonical_form_unsupported_order(pstar):
         orbit_of(pstar)
     with pytest.raises(UnsupportedOrderError):
         orbit_representatives(pstar.n)
+    with pytest.raises(ValueError, match="at least 1"):
+        orbit_representatives(0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
