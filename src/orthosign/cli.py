@@ -14,13 +14,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import fixtures as fixture_catalog
 from .exact import ParseError, det_sign, is_orthogonal, parse_matrix_json
-from .hunt import AMBIGUOUS_FOUND, CensusAmbiguityError, census, census_default_config, classify_det_sign
+from .hunt import CensusAmbiguityError, census, census_default_config, classify_det_sign
 from .realize import SearchConfig, search_realization, to_float
 from .signpat import SignPattern, UnsupportedOrderError, necessary_check, sign_pattern_of
 
@@ -69,19 +70,13 @@ def load_float_matrix(path: str) -> np.ndarray:
 
 
 def _config_from_args(args) -> SearchConfig:
-    return SearchConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        margin=args.margin,
-        rng_seed=args.seed,
-        time_budget=args.time_budget,
-        denom_bound=args.denom_bound,
-    )
+    # each search flag's dest is the name of the SearchConfig field it sets
+    return SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
 
 
 def _add_search_flags(p: argparse.ArgumentParser, defaults: SearchConfig | None = None):
     d = defaults or SearchConfig()
-    p.add_argument("--seed", type=int, default=d.rng_seed, help="RNG seed (default %(default)s)")
+    p.add_argument("--seed", type=int, dest="rng_seed", default=d.rng_seed, help="RNG seed (default %(default)s)")
     p.add_argument("--restarts", type=int, default=d.restarts, help="random restarts (default %(default)s)")
     p.add_argument("--max-iters", type=int, default=d.max_iters, help="descent iterations per restart (default %(default)s)")
     p.add_argument("--margin", type=float, default=d.margin, help="required sign clearance (default %(default)s)")
@@ -187,11 +182,8 @@ def cmd_hunt(args, out) -> int:
         print(f"verdict: {ev.verdict}", file=out)
         for tag, res in (("+1", ev.plus_result), ("-1", ev.minus_result)):
             print("\n".join(_result_lines(tag, res)), file=out)
-    if args.det == "+1":
-        return 0 if ev.plus_result is not None else 1
-    if args.det == "-1":
-        return 0 if ev.minus_result is not None else 1
-    return 0 if ev.verdict == AMBIGUOUS_FOUND else 1
+    found = {1: ev.plus_result, -1: ev.minus_result}
+    return 0 if all(found[side] is not None for side in sides) else 1
 
 
 def cmd_census(args, out) -> int:

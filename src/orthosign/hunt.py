@@ -88,13 +88,17 @@ def classify_det_sign(S: SignPattern, cfg: Optional[SearchConfig] = None, seeds=
     Each seed lands on the side of its own determinant sign, so a good pair of
     seeds settles the classification without any blind search.  sides narrows
     the blind search to one determinant sign (seeds still count wherever they
-    land).  The sides still open after polishing are hunted in one lock-step
-    batch, and cfg.time_budget bounds the whole call.
+    land); each side is +1 or -1, and no side means polish the seeds only.
+    The sides still open after polishing are hunted in one lock-step batch,
+    and cfg.time_budget bounds the whole call.  seeds may be any iterable of
+    matrices, such as a (k, n, n) array.
     """
+    if any(side not in (1, -1) for side in sides):
+        raise ValueError(f"sides must be +1 or -1, got {tuple(sides)!r}")
     cfg = cfg or SearchConfig()
     start = time.monotonic()
     results = {1: None, -1: None}
-    seeds = list(seeds or ())
+    seeds = [] if seeds is None else list(seeds)
     for seed in seeds:
         polished = refine_from(seed, S, TARGET_ANY, _remaining(cfg, start))
         if polished is not None and results[polished.det_sign] is None:

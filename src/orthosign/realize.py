@@ -21,20 +21,24 @@ restart exactly as one-trial-at-a-time backtracking would.  The determinism
 contract is that of running the searches, and their restarts, one after
 another: restart r draws from its own generator seeded by (rng_seed, r), and
 the lowest-index success of each search wins, with bit-identical results.
-search_realization is the one-search case and refine_from the one-restart
-case of the same engine.
+The engine, _lockstep_descent, takes one row (sign array, search, restart,
+base, x0) per restart and the margin in cfg; search_many builds the rows of
+every restart of a batch, search_realization is its one-search case and
+refine_from passes a single row.
 
 The chart has one evaluation, _chart_values (with _chart_map the one x -> A
 map).  It inverts I + A in closed form at orders n <= 3, where
 det(I + A) = 1 + |x|^2, and with LAPACK at n >= 4, and it takes
-(I - A)(I + A)^-1 as 2 (I + A)^-1 - I, with no matrix product.  A find has
-one success test, in _lockstep_descent: every signed entry clears the
-margin, every zero-pattern entry is within _ZERO_TOL, and the matrix with
-those entries snapped to 0 is orthogonal within _ORTHO_TOL (both 1e-9).
-The search only proposes witnesses, which exact checks confirm, so these
-tolerances are engine constants, not settings.  The only find
-outside descent is a random base that equals the pattern's sign array,
-which passes that test exactly.
+(I - A)(I + A)^-1 as 2 (I + A)^-1 - I, with no matrix product.  The penalty
+has one evaluation too, _penalty_terms, which derives the zero-pattern mask
+and the margin floor from the sign array and the margin.  A find has one
+success test, in _lockstep_descent: every signed entry clears the margin,
+every zero-pattern entry is within _ZERO_TOL, and the matrix with those
+entries snapped to 0 is orthogonal within _ORTHO_TOL (both 1e-9).  The
+search only proposes witnesses, which exact checks confirm, so these
+tolerances are engine constants, not settings.  The only find outside
+descent is a random base that equals the pattern's sign array, which
+passes that test exactly.
 
 A numerical find can be promoted to a certificate: every entry is replaced by
 its best rational approximation with bounded denominator and the result is
@@ -173,27 +177,23 @@ def objective(S: SignPattern, Q: np.ndarray, margin: float) -> float:
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (S.n, S.n):
         raise ValueError(f"matrix shape {Q.shape} does not match pattern order {S.n}")
-    sarr = _signs(S)
-    f, _, _ = _penalty_terms(sarr, *_penalty_masks(sarr, margin), Q)
+    f, _, _ = _penalty_terms(_signs(S), margin, Q)
     return float(f)
 
 
-def _penalty_masks(sarr: np.ndarray, margin: float):
-    """(zero-pattern mask, floor) of a sign array: floor is the margin on
-    signed entries and 0 on zero-pattern entries."""
-    return sarr == 0, np.where(sarr != 0, margin, 0.0)
-
-
-def _penalty_terms(sarr: np.ndarray, zero: np.ndarray, floor: np.ndarray, Q: np.ndarray):
+def _penalty_terms(sarr: np.ndarray, margin: float, Q: np.ndarray):
     """(value, hinge part, gradient wrt Q) for one matrix, or a stack of them,
-    with its sign array and _penalty_masks.
+    from its sign array sarr (broadcast against Q) and the margin.
 
-    The sums run over each matrix flattened, which adds in the same order
-    whether Q is one matrix or a stack, so a slice of a stack gets the same
-    bits as the matrix alone.  On zero-pattern entries floor - sarr * Q is
-    0 - (+-0) = +0, so H is 0 there.
+    Both masks are derived here: the zero-pattern mask sarr == 0 and the
+    floor, which is the margin on signed entries and 0 on zero-pattern
+    entries.  The sums run over each matrix flattened, which adds in the
+    same order whether Q is one matrix or a stack, so a slice of a stack
+    gets the same bits as the matrix alone.  On zero-pattern entries
+    floor - sarr * Q is 0 - (+-0) = +0, so H is 0 there.
     """
-    H = np.maximum(floor - sarr * Q, 0.0)
+    zero = sarr == 0
+    H = np.maximum(np.where(zero, 0.0, margin) - sarr * Q, 0.0)
     Z = np.where(zero, Q, 0.0)
     flat = Q.shape[:-2] + (-1,)
     hinge = (H * H).reshape(flat).sum(-1)
@@ -207,13 +207,14 @@ _AXIAL_SIGNS = np.array([1.0, -1.0, 1.0])
 
 
 def _chart_values(x: np.ndarray, K: np.ndarray, I: np.ndarray, bases: np.ndarray, sarr: np.ndarray,
-                  zero: np.ndarray, floor: np.ndarray):
+                  margin: float):
     """Value half of the chart evaluation, for any stack of chart points.
 
-    x is (..., m), K is _chart_map(n) and I the n x n identity; bases, sarr
-    and the _penalty_masks broadcast against (..., n, n).  Returns Q, f,
-    hinge and what _chart_grad needs: C = (I + A)^-1 and G, the gradient of
-    the penalty wrt Q.  Every entry of x @ K has one nonzero term, so A is
+    x is (..., m), K is _chart_map(n) and I the n x n identity; bases and
+    the sign arrays sarr broadcast against (..., n, n), and margin is the
+    sign clearance that _penalty_terms asks for.  Returns Q, f, hinge and
+    what _chart_grad needs: C = (I + A)^-1 and G, the gradient of the
+    penalty wrt Q.  Every entry of x @ K has one nonzero term, so A is
     exact.
 
     At n <= 3, C is closed-form algebra: A^2 = w w^T - |x|^2 I, where w is
@@ -236,18 +237,18 @@ def _chart_values(x: np.ndarray, K: np.ndarray, I: np.ndarray, bases: np.ndarray
             N += w[..., :, None] * w[..., None, :]
         C = N / (1.0 + (x * x).sum(-1))[..., None, None]
     Q = bases @ (2.0 * C - I)
-    f, hinge, G = _penalty_terms(sarr, zero, floor, Q)
+    f, hinge, G = _penalty_terms(sarr, margin, Q)
     return Q, f, hinge, C, G
 
 
-def _chart_grad(bases: np.ndarray, C: np.ndarray, G: np.ndarray, KT: np.ndarray) -> np.ndarray:
+def _chart_grad(bases: np.ndarray, C: np.ndarray, G: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Gradient half: chart gradient (R, m) of R points from their (R, n, n)
-    bases and the C and G that _chart_values returned; KT is K.T."""
+    bases, the C and G that _chart_values returned, and K = _chart_map(n)."""
     # dQ = -B (I + M) dA C with M = 2C - I, so I + M = 2C and df/dA = W with
     # W as below; pulling back through the chart map gives
     # df/dx_k = W[i,j] - W[j,i] for slot k = (i,j)
     W = -2.0 * C.transpose(0, 2, 1) @ bases.transpose(0, 2, 1) @ G @ C.transpose(0, 2, 1)
-    return W.reshape(len(W), len(KT)) @ KT
+    return W.reshape(len(W), K.shape[1]) @ K.T
 
 
 @dataclass
@@ -303,21 +304,23 @@ _TRIAL_SCALES = _STEP_SHRINK ** np.arange(_TRIALS)
 _ZERO_TOL = _ORTHO_TOL = 1e-9
 
 
-def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bases: np.ndarray, x0: np.ndarray,
-                      cfg: SearchConfig, deadline: float) -> dict:
+def _lockstep_descent(rows: list, cfg: SearchConfig, deadline: float) -> dict:
     """Backtracking gradient descent in R Cayley charts of one order, advanced
     in lock step.
 
-    Row k is restart slot[k] of search group[k], whose pattern has the sign
-    array sarr[k]; rows come grouped by search, in restart order within a
-    group.  Row k starts at x0[k] in the chart centred at bases[k] and keeps
-    its own step size, Armijo test, iteration count and stop rules, exactly
-    as if it ran alone.  Each round tests the next _TRIALS = 3 backtracking
-    trials of every live row (steps s, s/2, s/4) in one batched value pass;
-    a row moves to its first trial that passes Armijo, and only the chosen
-    points go through the gradient pass.  A row with no passing trial
-    carries on backtracking from its last trial next round, so
-    every row moves exactly as sequential backtracking would.  When a row
+    rows holds R tuples (sarr, search, restart, base, x0), as search_many
+    builds them: the (n, n) sign array of the search's pattern, the index
+    of the search and of the restart, the orthogonal matrix the restart's
+    chart is centred at, and the chart point, of length n (n - 1) / 2, it
+    starts from.  Rows come grouped by search, in restart order within a
+    search, and are stacked into per-row arrays once.  Each row
+    keeps its own step size, Armijo test, iteration count and stop rules,
+    exactly as if it ran alone.  Each round tests the next _TRIALS = 3
+    backtracking trials of every live row (steps s, s/2, s/4) in one batched
+    value pass; a row moves to its first trial that passes Armijo, and only
+    the chosen points go through the gradient pass.  A row with no passing
+    trial carries on backtracking from its last trial next round, so every
+    row moves exactly as sequential backtracking would.  When a row
     succeeds, it and the higher rows of its own search are dropped, so the
     lowest-index success of each search wins.  The deadline is checked
     before the first round and every 64 rounds; on expiry the lowest-index
@@ -325,18 +328,16 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
 
     Returns {search: (restart, accepted Qz, raw Q, iterations used)}.
     """
+    sarr, group, slot, bases, x = (np.array(a) for a in zip(*rows))
     n = bases.shape[-1]
     K, I = _chart_map(n), np.eye(n)
-    KT = K.T
     # per-row constants, repeated once per call so that the value pass runs
     # on contiguous (R, _TRIALS, n, n) stacks (broadcast (R, 1, n, n) ones
     # made it 8-25 % slower); [:, 0] is the (R, n, n) stack
-    sarr, zero, floor, bases = (np.repeat(a[:, None], _TRIALS, 1)
-                                for a in (sarr, *_penalty_masks(sarr, cfg.margin), bases))
+    sarr, bases = (np.repeat(a[:, None], _TRIALS, 1) for a in (sarr, bases))
     # against f = inf and g = 0 every trial is x0 and passes the Armijo test,
     # so the first round moves each row to its starting point
-    x = x0.copy()
-    f, g, gnorm2 = np.full(len(slot), np.inf), np.zeros_like(x0), np.zeros(len(slot))
+    f, g, gnorm2 = np.full(len(slot), np.inf), np.zeros_like(x), np.zeros(len(slot))
     step = np.full(len(slot), _STEP_INIT)
     it = np.zeros(len(slot), dtype=int)
     best = {}
@@ -347,7 +348,7 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
         rounds += 1
         T = step[:, None] * _TRIAL_SCALES
         xt = x[:, None] - T[:, :, None] * g[:, None]
-        Qt, ft, ht, Ct, Gt = _chart_values(xt, K, I, bases, sarr, zero, floor)
+        Qt, ft, ht, Ct, Gt = _chart_values(xt, K, I, bases, sarr, cfg.margin)
         # a trial below the floor is one sequential backtracking never reaches
         ok = (ft <= f[:, None] - _ARMIJO * T * gnorm2[:, None]) & (T >= _STEP_MIN)
         moved = ok.any(1)
@@ -356,7 +357,7 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
         step = T[:, -1] * _STEP_SHRINK
         step[k] = np.minimum(T[k, j] * _STEP_GROW, _STEP_INIT)
         x[k], f[k] = xt[k, j], ft[k, j]
-        g[k] = gk = _chart_grad(bases[k, 0], Ct[k, j], Gt[k, j], KT)
+        g[k] = gk = _chart_grad(bases[k, 0], Ct[k, j], Gt[k, j], K)
         # gk[:, None, :] @ gk[:, :, None] adds like the 1-D dot g @ g (einsum
         # does not)
         gnorm2[k] = (gk[:, None, :] @ gk[:, :, None])[:, 0, 0]
@@ -367,13 +368,13 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
             # the zero-pattern test for all hits at once (max is exact); most
             # hits of patterns with zeros fail it
             Qh = np.abs(Qt[k[hit], j[hit]])
-            hit = hit[np.max(Qh, axis=(1, 2), where=zero[k[hit], 0], initial=0.0) <= _ZERO_TOL]
+            hit = hit[np.max(Qh, axis=(1, 2), where=sarr[k[hit], 0] == 0, initial=0.0) <= _ZERO_TOL]
             for i in hit:
                 r = k[i]
                 s = int(group[r])
                 if s in won:
                     continue  # a lower restart of its search succeeded this round
-                Qz = np.where(zero[r, 0], 0.0, Qt[r, j[i]])
+                Qz = np.where(sarr[r, 0] == 0, 0.0, Qt[r, j[i]])
                 if ortho_residual(Qz) <= _ORTHO_TOL:
                     best[s] = (int(slot[r]), Qz, Qt[r, j[i]], int(it[r]))
                     won[s] = r
@@ -382,8 +383,8 @@ def _lockstep_descent(sarr: np.ndarray, group: np.ndarray, slot: np.ndarray, bas
         for s, r in won.items():
             live[r:] &= group[r:] != s
         if not live.all():
-            sarr, zero, floor, group, slot, bases, x, f, g, gnorm2, step, it = (
-                a[live] for a in (sarr, zero, floor, group, slot, bases, x, f, g, gnorm2, step, it))
+            sarr, group, slot, bases, x, f, g, gnorm2, step, it = (
+                a[live] for a in (sarr, group, slot, bases, x, f, g, gnorm2, step, it))
     return best
 
 
@@ -402,7 +403,7 @@ def _assemble(sarr: np.ndarray, cfg: SearchConfig, restart_index: int, Qz: np.nd
     result = RealizationResult(
         q=Qz,
         det_sign=float_det_sign(Qz),
-        objective_value=float(_penalty_terms(sarr, *_penalty_masks(sarr, cfg.margin), Qz)[0]),
+        objective_value=float(_penalty_terms(sarr, cfg.margin, Qz)[0]),
         ortho_residual=ortho_residual(Qz),
         min_margin=float(np.min(sarr * Qz, where=sarr != 0, initial=np.inf)),
         max_zero_violation=float(np.max(np.abs(Q_raw), where=sarr == 0, initial=0.0)),
@@ -445,7 +446,7 @@ def search_many(problems, cfg: Optional[SearchConfig] = None) -> list:
             rows.setdefault(S.n, []).append((sarr, p, r, base, rng.uniform(-1.0, 1.0, size=S.n * (S.n - 1) // 2)))
     for batch in rows.values():
         # a descent find comes from a lower restart than a base find
-        found.update(_lockstep_descent(*(np.array(a) for a in zip(*batch)), cfg, deadline))
+        found.update(_lockstep_descent(batch, cfg, deadline))
     return [_assemble(_signs(S), cfg, *found[p]) if p in found else None for p, (S, _) in enumerate(problems)]
 
 
@@ -483,9 +484,7 @@ def refine_from(Q0, S: SignPattern, target: Target, cfg: Optional[SearchConfig] 
     if det_target is not None and float_det_sign(base) != det_target:
         return None
     sarr = _signs(S)
-    search0_restart0 = np.zeros(1, dtype=int)
-    found = _lockstep_descent(sarr[None], search0_restart0, search0_restart0, base[None],
-                              np.zeros((1, S.n * (S.n - 1) // 2)), cfg, _deadline(cfg))
+    found = _lockstep_descent([(sarr, 0, 0, base, np.zeros(S.n * (S.n - 1) // 2))], cfg, _deadline(cfg))
     return _assemble(sarr, cfg, *found[0]) if found else None
 
 

@@ -333,22 +333,18 @@ def reference_census_rows(n, cfg):
 def chart_q(n, x, base=None):
     """Q = base (I - A)(I + A)^-1 at chart point x, as the engine's
     _chart_values computes it; base defaults to the identity."""
-    from orthosign.realize import _chart_map, _chart_values, _penalty_masks
+    from orthosign.realize import _chart_map, _chart_values
 
     base = np.eye(n) if base is None else np.asarray(base, dtype=float)
-    sarr = np.zeros((n, n))
-    return _chart_values(np.asarray(x, dtype=float), _chart_map(n), np.eye(n), base, sarr,
-                         *_penalty_masks(sarr, 0.5))[0]
+    return _chart_values(np.asarray(x, dtype=float), _chart_map(n), np.eye(n), base, np.zeros((n, n)), 0.5)[0]
 
 
 def chart_value_grad(S, x, base, margin):
     """(objective, chart gradient) at one point x in the chart centred at
     base, composed from the package's value and gradient halves."""
-    from orthosign.realize import _chart_grad, _chart_map, _chart_values, _penalty_masks
+    from orthosign.realize import _chart_grad, _chart_map, _chart_values
 
-    sarr = sign_array(S)[None]
     base = np.asarray(base, dtype=float)[None]
     K, I = _chart_map(S.n), np.eye(S.n)
-    _, f, _, C, G = _chart_values(np.asarray(x, dtype=float)[None], K, I, base, sarr,
-                                  *_penalty_masks(sarr, margin))
-    return float(f[0]), _chart_grad(base, C, G, K.T)[0]
+    _, f, _, C, G = _chart_values(np.asarray(x, dtype=float)[None], K, I, base, sign_array(S)[None], margin)
+    return float(f[0]), _chart_grad(base, C, G, K)[0]

@@ -21,12 +21,27 @@ from oracles import reference_census_rows
 def test_classify_pstar_with_seeds(pstar, q1, q2):
     rng = np.random.default_rng(2)
     seeds = [perturb(to_float(q1), 1e-2, rng), perturb(to_float(q2), 1e-2, rng)]
-    ev = classify_det_sign(pstar, SearchConfig(margin=0.01, rng_seed=5), seeds=seeds)
-    assert ev.verdict == AMBIGUOUS_FOUND
-    assert ev.plus_result.det_sign == 1
-    assert ev.minus_result.det_sign == -1
-    assert ev.budgets["seeds_polished"] == 2
-    assert ev.budgets["plus"]["restarts"] == 0  # settled by the seed
+    # seeds may come as a list of matrices or as one (k, n, n) array
+    evs = [classify_det_sign(pstar, SearchConfig(margin=0.01, rng_seed=5), seeds=given)
+           for given in (seeds, np.stack(seeds))]
+    for ev in evs:
+        assert ev.verdict == AMBIGUOUS_FOUND
+        assert ev.plus_result.det_sign == 1
+        assert ev.minus_result.det_sign == -1
+        assert ev.budgets["seeds_polished"] == 2
+        assert ev.budgets["plus"]["restarts"] == 0  # settled by the seed
+    assert evs[0].to_json_dict() == evs[1].to_json_dict()
+
+
+def test_classify_sides_are_plus_or_minus_one(pstar, q1):
+    cfg = SearchConfig(margin=0.01, restarts=1, max_iters=1)
+    for sides in (("+1",), (1, "-1"), (0,), (2, -1)):
+        with pytest.raises(ValueError, match="sides must be"):
+            classify_det_sign(pstar, cfg, sides=sides)
+    # no side at all: the seeds are polished and nothing is searched blind
+    ev = classify_det_sign(pstar, cfg, seeds=[to_float(q1)], sides=())
+    assert ev.verdict == ONLY_PLUS_FOUND
+    assert ev.budgets["plus"]["restarts"] == ev.budgets["minus"]["restarts"] == 0
 
 
 def test_classify_waters_3_unseeded():
