@@ -14,8 +14,6 @@ from .exact import (
     det,
     det_sign,
     is_orthogonal,
-    mat_mul,
-    matrix_to_json,
     parse_matrix_json,
     sgn,
 )

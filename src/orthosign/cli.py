@@ -52,17 +52,15 @@ def load_float_matrix(path: str) -> np.ndarray:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON in {path}: {e.msg}", line=e.lineno, col=e.colno) from None
-    if isinstance(obj, dict):
-        return to_float(parse_matrix_json(text))
-    shape_error = f"float matrix in {path} must be a square nested array of numbers"
-    finite_error = f"float matrix in {path} has non-finite entries"
     # checked by hand: numpy would read true and "1" as 1.0
-    if not (isinstance(obj, list) and obj and all(isinstance(row, list) and len(row) == len(obj)
+    if not isinstance(obj, dict) and not (
+            isinstance(obj, list) and obj and all(isinstance(row, list) and len(row) == len(obj)
                                                   and all(type(v) in (int, float) for v in row) for row in obj)):
-        raise ParseError(shape_error)
+        raise ParseError(f"float matrix in {path} must be a square nested array of numbers")
+    finite_error = f"float matrix in {path} has non-finite entries"
     try:
-        arr = np.asarray(obj, dtype=float)
-    except OverflowError:  # an integer beyond the float range
+        arr = to_float(parse_matrix_json(text)) if isinstance(obj, dict) else np.asarray(obj, dtype=float)
+    except OverflowError:  # an entry beyond the float range
         raise ParseError(finite_error) from None
     if not np.all(np.isfinite(arr)):
         raise ParseError(finite_error)
@@ -215,13 +213,16 @@ def cmd_census(args, out) -> int:
 
 
 def cmd_fixtures(args, out) -> int:
-    target = Path(args.out)
-    target.mkdir(parents=True, exist_ok=True)
+    path = target = Path(args.out)
     written = []
-    for name in fixture_catalog.FIXTURE_NAMES:
-        path = target / fixture_catalog.fixture_filename(name)
-        path.write_text(fixture_catalog.fixture_text(name))
-        written.append(str(path))
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+        for name in fixture_catalog.FIXTURE_NAMES:
+            path = target / fixture_catalog.fixture_filename(name)
+            path.write_text(fixture_catalog.fixture_text(name))
+            written.append(str(path))
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e.strerror}") from None
     if args.json:
         out.write(render_json({"written": written}))
     else:

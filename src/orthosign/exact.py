@@ -4,10 +4,11 @@ Everything in this module is integer/fraction arithmetic: no float is
 trusted anywhere, and one is made only where a caller asks for float(x).
 One dense, row-major, immutable matrix type, ExactMatrix, comes in two
 scalar domains: RatMatrix over Q and QuadMatrix over Q(sqrt2).  sgn is the
-one sign function for exact scalars.  Orthogonality is decided by computing
-the Gram matrix A^T A exactly and comparing it with the identity;
-determinants are computed with fraction-free (Bareiss) elimination.  Entry
-strings follow one grammar, the pattern _ENTRY_RE.
+one sign function for exact scalars.  Orthogonality is decided column pair
+by column pair: the exact dot product of columns i <= j must be 1 when
+i = j and 0 otherwise, and the first pair that misses decides; no Gram
+matrix is built.  Determinants are computed with fraction-free (Bareiss)
+elimination.  Entry strings follow one grammar, the pattern _ENTRY_RE.
 """
 
 from __future__ import annotations
@@ -140,9 +141,7 @@ class ExactMatrix:
     """Dense immutable matrix over an exact scalar domain, row-major entries.
 
     The subclasses RatMatrix (over Q) and QuadMatrix (over Q(sqrt2)) fix the
-    domain: `_coerce` maps an int, a Fraction or a domain element into it,
-    `_zero` and `_one` are its constants.  Every operation returns a matrix
-    of the operand's own subclass.
+    domain: `_coerce` maps an int, a Fraction or a domain element into it.
     """
 
     rows: int
@@ -166,26 +165,12 @@ class ExactMatrix:
             raise ValueError(f"ragged rows: lengths {[len(r) for r in rows]}")
         return cls(len(rows), cols, tuple(e for r in rows for e in r))
 
-    @classmethod
-    def identity(cls, n: int):
-        return cls(n, n, tuple(cls._one if i == j else cls._zero for i in range(n) for j in range(n)))
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def transpose(self):
-        return type(self)(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
-
-    def scale(self, c):
-        c = self._coerce(c)
-        return type(self)(self.rows, self.cols, tuple(c * e for e in self.entries))
-
-    def to_quad(self) -> "QuadMatrix":
-        return QuadMatrix(self.rows, self.cols, self.entries)
 
     def __str__(self):
         cells = [[format_entry(e) for e in self.row(i)] for i in range(self.rows)]
@@ -197,35 +182,12 @@ class RatMatrix(ExactMatrix):
     """Dense matrix over Q; entries are Fractions."""
 
     _coerce = Fraction
-    _zero = Fraction(0)
-    _one = Fraction(1)
 
 
 class QuadMatrix(ExactMatrix):
     """Dense matrix over Q(sqrt2); entries are QuadRationals."""
 
     _coerce = staticmethod(QuadRational._coerce)
-    _zero = QuadRational(0, 0)
-    _one = QuadRational(1, 0)
-
-
-def mat_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product; both operands must live in the same scalar domain."""
-    if type(A) is not type(B):
-        raise ValueError("matrix product requires both operands over the same scalar domain; convert explicitly with to_quad()")
-    if A.cols != B.rows:
-        raise ValueError(f"shape mismatch: {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
-    n, m, k = A.rows, B.cols, A.cols
-    brows = [B.row(i) for i in range(k)]
-    out = []
-    for i in range(n):
-        arow = A.row(i)
-        for j in range(m):
-            acc = arow[0] * brows[0][j]
-            for t in range(1, k):
-                acc += arow[t] * brows[t][j]
-            out.append(acc)
-    return type(A)(n, m, tuple(out))
 
 
 def _det_bareiss(a: list[list], zero, one, div):
@@ -260,7 +222,7 @@ def det(A: ExactMatrix):
         raise ValueError(f"determinant requires a square matrix, got {A.rows}x{A.cols}")
     n = A.rows
     if isinstance(A, QuadMatrix):
-        return _det_bareiss([list(A.row(i)) for i in range(n)], A._zero, A._one, operator.truediv)
+        return _det_bareiss([list(A.row(i)) for i in range(n)], QuadRational(0, 0), QuadRational(1, 0), operator.truediv)
     # clear denominators row by row, eliminate in plain integers, divide back
     scale = 1
     cleared = []
@@ -278,12 +240,14 @@ def det_sign(A: ExactMatrix) -> int:
 
 
 def is_orthogonal(A: ExactMatrix) -> bool:
-    """True iff A^T A equals the identity exactly."""
+    """True iff A^T A is the identity exactly: for every pair of columns
+    i <= j the dot product is 1 if i = j and 0 if not.  Returns False at the
+    first pair that misses, in either domain."""
     if A.rows != A.cols:
         raise ValueError(f"orthogonality requires a square matrix, got {A.rows}x{A.cols}")
-    gram = mat_mul(A.transpose(), A)
-    ident = type(A).identity(A.rows)
-    return gram.entries == ident.entries
+    n = A.rows
+    cols = [A.entries[j::n] for j in range(n)]
+    return all(sum(map(operator.mul, cols[i], cols[j])) == int(i == j) for i in range(n) for j in range(i, n))
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +335,3 @@ def parse_matrix_json(text: str) -> ExactMatrix:
 def matrix_to_jsonable(M: ExactMatrix) -> dict:
     grid = [[format_entry(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
     return {"rows": M.rows, "cols": M.cols, "entries": grid}
-
-
-def matrix_to_json(M: ExactMatrix) -> str:
-    """Serialize an exact matrix to the JSON file format."""
-    return json.dumps(matrix_to_jsonable(M), indent=1)
-

@@ -30,15 +30,14 @@ The chart has one evaluation, _chart_values (with _chart_map the one x -> A
 map).  It inverts I + A in closed form at orders n <= 3, where
 det(I + A) = 1 + |x|^2, and with LAPACK at n >= 4, and it takes
 (I - A)(I + A)^-1 as 2 (I + A)^-1 - I, with no matrix product.  The penalty
-has one evaluation too, _penalty_terms, which derives the zero-pattern mask
-and the margin floor from the sign array and the margin.  A find has one
-success test, in _lockstep_descent: every signed entry clears the margin,
-every zero-pattern entry is within _ZERO_TOL, and the matrix with those
-entries snapped to 0 is orthogonal within _ORTHO_TOL (both 1e-9).  The
-search only proposes witnesses, which exact checks confirm, so these
-tolerances are engine constants, not settings.  The only find outside
-descent is a random base that equals the pattern's sign array, which
-passes that test exactly.
+has one evaluation too, _penalty_terms, from the sign array and the margin.
+A find has one success test, in _lockstep_descent: every signed entry
+clears the margin, every zero-pattern entry is within _ZERO_TOL, and the
+matrix with those entries snapped to 0 is orthogonal within _ORTHO_TOL
+(both 1e-9).  The search only proposes witnesses, which exact checks
+confirm, so these tolerances are engine constants, not settings.  The only
+find outside descent is a random base that equals the pattern's sign
+array, which passes that test exactly.
 
 A numerical find can be promoted to a certificate: every entry is replaced by
 its best rational approximation with bounded denominator and the result is
@@ -185,16 +184,17 @@ def _penalty_terms(sarr: np.ndarray, margin: float, Q: np.ndarray):
     """(value, hinge part, gradient wrt Q) for one matrix, or a stack of them,
     from its sign array sarr (broadcast against Q) and the margin.
 
-    Both masks are derived here: the zero-pattern mask sarr == 0 and the
-    floor, which is the margin on signed entries and 0 on zero-pattern
-    entries.  The sums run over each matrix flattened, which adds in the
-    same order whether Q is one matrix or a stack, so a slice of a stack
-    gets the same bits as the matrix alone.  On zero-pattern entries
-    floor - sarr * Q is 0 - (+-0) = +0, so H is 0 there.
+    The hinge is H = max(sarr (margin sarr - Q), 0), with no margin floor
+    built: on a signed entry, multiplying by sarr = +-1 only negates, so H
+    is max(margin - sarr Q, 0) up to the sign of a zero result, and on a
+    zero-pattern entry H is a zero of either sign.  Neither H * H nor
+    Z - H * sarr sees the sign of those zeros.  Z is Q on the zero-pattern
+    mask sarr == 0.  The sums run over each matrix flattened, which adds in
+    the same order whether Q is one matrix or a stack, so a slice of a stack
+    gets the same bits as the matrix alone.
     """
-    zero = sarr == 0
-    H = np.maximum(np.where(zero, 0.0, margin) - sarr * Q, 0.0)
-    Z = np.where(zero, Q, 0.0)
+    H = np.maximum(sarr * (margin * sarr - Q), 0.0)
+    Z = np.where(sarr == 0, Q, 0.0)
     flat = Q.shape[:-2] + (-1,)
     hinge = (H * H).reshape(flat).sum(-1)
     f = hinge + (Z * Z).reshape(flat).sum(-1)

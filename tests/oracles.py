@@ -62,6 +62,10 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
+def identity_grid(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def apply_symmetry(grid, row_signs, col_signs, row_perm, col_perm, transpose_flag):
     """Hand-rolled action on a tuple-of-tuples grid, mirroring none of the
     package code: optional transpose, then permute, then negate."""

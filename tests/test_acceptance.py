@@ -40,7 +40,7 @@ from orthosign.signpat import (
     waters_forced_sign,
     waters_pattern,
 )
-from oracles import chart_q, chart_value_grad, det_cofactor, exact_cayley
+from oracles import chart_q, chart_value_grad, det_cofactor, exact_cayley, grid_scale, rational_matrix_to_grid
 
 
 @contextmanager
@@ -78,8 +78,8 @@ def test_criterion_2_exact_small_examples(r3, s3, t3):
 
 def test_criterion_3_determinant_arithmetic(q1, q2):
     with criterion(3):
-        assert det(q1.scale(8)) == 2097152
-        assert det(q2.scale(20014)) == -(20014**7)
+        assert det(RatMatrix.from_rows(grid_scale(rational_matrix_to_grid(q1), 8))) == 2097152
+        assert det(RatMatrix.from_rows(grid_scale(rational_matrix_to_grid(q2), 20014))) == -(20014**7)
         rng = random.Random(20014)
         for _ in range(200):
             rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]

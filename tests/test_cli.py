@@ -9,7 +9,7 @@ import pytest
 
 import orthosign
 from orthosign.cli import _config_from_args, build_parser, main, render_json
-from orthosign.exact import matrix_to_json, parse_matrix_json
+from orthosign.exact import RatMatrix, matrix_to_jsonable, parse_matrix_json
 from orthosign.fixtures import fixture_text
 from orthosign.realize import SearchConfig
 
@@ -51,10 +51,8 @@ def test_verify_r3(fixture_dir, capsys):
 
 
 def test_verify_non_orthogonal_exits_1(tmp_path, capsys):
-    from orthosign.exact import RatMatrix
-
     path = tmp_path / "m.json"
-    path.write_text(matrix_to_json(RatMatrix.from_rows([[1, 1], [1, 1]])))
+    path.write_text(json.dumps(matrix_to_jsonable(RatMatrix.from_rows([[1, 1], [1, 1]]))))
     assert main(["verify", str(path)]) == 1
     out = capsys.readouterr().out
     assert "orthogonal: false" in out
@@ -199,6 +197,8 @@ def test_ragged_float_seed_file(fixture_dir, tmp_path, capsys):
     ("[[[1]]]", "must be a square nested array of numbers"),
     ("[[1, 0], [0, NaN]]", "has non-finite entries"),
     ("[[1" + "0" * 400 + ", 0], [0, 1]]", "has non-finite entries"),
+    ('{"rows": 2, "cols": 2, "entries": [["1' + "0" * 400 + '", "0"], ["0", "1"]]}', "has non-finite entries"),
+    ('{"rows": 2, "cols": 2, "entries": [["1' + "0" * 400 + '+sqrt2", "0"], ["0", "1"]]}', "has non-finite entries"),
 ])
 def test_bad_float_seed_file(fixture_dir, tmp_path, capsys, text, error):
     seeds = tmp_path / "s.json"
@@ -224,12 +224,26 @@ def test_pattern_cites_all_zero_row(tmp_path, capsys):
 
 
 def test_verify_rejects_non_square_matrix(tmp_path, capsys):
-    from orthosign.exact import RatMatrix
-
     path = tmp_path / "m.json"
-    path.write_text(matrix_to_json(RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]])))
+    path.write_text(json.dumps(matrix_to_jsonable(RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))))
     assert main(["verify", str(path)]) == 2
     assert "verify expects a square matrix, got 2x3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["file", "under file", "onto directory"])
+def test_fixtures_unwritable_out_exits_2(tmp_path, capsys, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = {"file": blocker, "under file": blocker / "fx", "onto directory": tmp_path / "fx"}[where]
+    culprit = out
+    if where == "onto directory":
+        culprit = out / "q1.json"
+        culprit.mkdir(parents=True)
+    assert main(["fixtures", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {culprit}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_fixtures_json_lists_written_files(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,15 +17,22 @@ from orthosign.exact import (
     det_sign,
     format_entry,
     is_orthogonal,
-    mat_mul,
-    matrix_to_json,
+    matrix_to_jsonable,
     parse_entry,
     parse_matrix_json,
     sgn,
 )
 from orthosign.realize import to_float
 from orthosign.signpat import GroupElement, act, sign_pattern_of
-from oracles import det_cofactor, int_matmul, rational_matrix_to_grid, transpose
+from oracles import (
+    det_cofactor,
+    exact_cayley,
+    grid_scale,
+    identity_grid,
+    int_matmul,
+    rational_matrix_to_grid,
+    transpose,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 quads = st.builds(QuadRational, rationals, rationals)
@@ -122,40 +130,11 @@ def test_rational_embeds_into_quad():
     assert Fraction(1, 2) - x == QuadRational(0, Fraction(-1, 3))
 
 
-# -- mat_mul ------------------------------------------------------------------
-
-def test_mat_mul_identity():
-    I3 = RatMatrix.identity(3)
-    assert mat_mul(I3, I3) == I3
-
-
-def test_mat_mul_permutation():
-    A = RatMatrix.from_rows([[1, 2], [3, 4]])
-    P = RatMatrix.from_rows([[0, 1], [1, 0]])
-    assert mat_mul(A, P) == RatMatrix.from_rows([[2, 1], [4, 3]])
-
+# -- Gram product of q1, in big integers -------------------------------------
 
 def test_mat_mul_scaled_gram_of_q1(q1):
-    N = q1.scale(8)
-    gram = mat_mul(N.transpose(), N)
-    assert gram == RatMatrix.identity(7).scale(64)
-    # big-integer oracle for the same product
-    ints = [[int(e) for e in row] for row in rational_matrix_to_grid(N)]
-    oracle = int_matmul(transpose(ints), ints)
-    assert oracle == [[64 if i == j else 0 for j in range(7)] for i in range(7)]
-
-
-def test_mat_mul_shape_mismatch():
-    A = RatMatrix.from_rows([[1, 2], [3, 4]])
-    B = RatMatrix.from_rows([[1, 2, 3]])
-    with pytest.raises(ValueError):
-        mat_mul(A, B)
-
-
-def test_mat_mul_mixed_domains_rejected(q1, r3):
-    with pytest.raises(ValueError):
-        mat_mul(r3, RatMatrix.identity(3))
-    assert mat_mul(RatMatrix.identity(3).to_quad(), r3) == r3
+    ints = [[int(e) for e in row] for row in grid_scale(rational_matrix_to_grid(q1), 8)]
+    assert int_matmul(transpose(ints), ints) == [[64 * e for e in row] for row in identity_grid(7)]
 
 
 def test_matrix_rejects_bad_shape():
@@ -175,29 +154,26 @@ def test_operations_keep_domain_subclass():
     g = GroupElement((1, -1), (-1, 1), (1, 0), (0, 1), True)
     for domain in (RatMatrix, QuadMatrix):
         A = domain.from_rows([[1, 2], [3, 4]])
-        for M in (A, A.transpose(), A.scale(3), domain.identity(2), mat_mul(A, A), act(g, A)):
+        for M in (A, act(g, A)):
             assert type(M) is domain
-    assert type(RatMatrix.identity(2).to_quad()) is QuadMatrix
 
 
 # -- determinants -------------------------------------------------------------
 
 def test_det_identity():
-    assert det(RatMatrix.identity(7)) == 1
+    assert det(RatMatrix.from_rows(identity_grid(7))) == 1
 
 
 def test_det_scaled_q1(q1):
-    d = det(q1.scale(8))
-    assert d == 2097152 == 8**7
-    ints = [[int(e) for e in row] for row in rational_matrix_to_grid(q1.scale(8))]
-    assert det_cofactor(ints) == 2097152
+    grid = grid_scale(rational_matrix_to_grid(q1), 8)
+    assert det(RatMatrix.from_rows(grid)) == 2097152 == 8**7
+    assert det_cofactor([[int(e) for e in row] for row in grid]) == 2097152
 
 
 def test_det_scaled_q2(q2):
-    d = det(q2.scale(20014))
-    assert d == -(20014**7)
-    ints = [[int(e) for e in row] for row in rational_matrix_to_grid(q2.scale(20014))]
-    assert det_cofactor(ints) == -(20014**7)
+    grid = grid_scale(rational_matrix_to_grid(q2), 20014)
+    assert det(RatMatrix.from_rows(grid)) == -(20014**7)
+    assert det_cofactor([[int(e) for e in row] for row in grid]) == -(20014**7)
 
 
 def test_det_singular():
@@ -243,9 +219,9 @@ def test_det_bareiss_matches_cofactor(flat):
 def test_det_multiplicative():
     rng = random.Random(42)
     for _ in range(25):
-        A = RatMatrix.from_rows([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
-        B = RatMatrix.from_rows([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
-        assert det(mat_mul(A, B)) == det(A) * det(B)
+        a, b = ([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)] for _ in range(2))
+        A, B = RatMatrix.from_rows(a), RatMatrix.from_rows(b)
+        assert det(RatMatrix.from_rows(int_matmul(a, b))) == det(A) * det(B)
 
 
 def test_det_rejects_non_square():
@@ -258,7 +234,7 @@ def test_det_rejects_non_square():
 # -- orthogonality and determinant sign ---------------------------------------
 
 def test_is_orthogonal_identity():
-    assert is_orthogonal(RatMatrix.identity(5))
+    assert is_orthogonal(RatMatrix.from_rows(identity_grid(5)))
 
 
 def test_is_orthogonal_fixtures(q1, q2, r3):
@@ -271,6 +247,80 @@ def test_is_orthogonal_rejects_rank_one():
     assert not is_orthogonal(RatMatrix.from_rows([[1, 1], [1, 1]]))
 
 
+def gram_is_identity(grid):
+    """The oracle: the full Gram product A^T A, compared with the identity."""
+    return int_matmul(transpose(grid), grid) == identity_grid(len(grid))
+
+
+def givens_product(rng, n, count):
+    """Product of `count` 45-degree Givens rotations, an orthogonal matrix
+    over Q(sqrt2); cos 45 = sin 45 = sqrt2/2."""
+    h = QuadRational(0, Fraction(1, 2))
+    Q = [[QuadRational(int(i == j), 0) for j in range(n)] for i in range(n)]
+    for _ in range(count):
+        i, j = rng.sample(range(n), 2)
+        Q[i], Q[j] = [h * a - h * b for a, b in zip(Q[i], Q[j])], [h * a + h * b for a, b in zip(Q[i], Q[j])]
+    return Q
+
+
+def nudged(grid, i, j, rng):
+    """grid with entry (i, j) moved away from 0 by 1/k: column j's squared
+    norm grows by 2 d c + d^2 > 0, so the result is never orthogonal."""
+    c = grid[i][j]
+    out = [list(row) for row in grid]
+    out[i][j] = c + (sgn(c) or 1) * Fraction(1, rng.randint(2, 64))
+    return out
+
+
+def column_swapped(grid, i, j):
+    out = [list(row) for row in grid]
+    for row in out:
+        row[i], row[j] = row[j], row[i]
+    return out
+
+
+def column_copied(grid, i, j):
+    """grid with column j replaced by column i: every column still has norm
+    1, but columns i and j have dot product 1."""
+    out = [list(row) for row in grid]
+    for row in out:
+        row[j] = row[i]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_is_orthogonal_matches_gram_oracle(n):
+    rng = random.Random(f"is_orthogonal/{n}")
+    orthogonal = [(RatMatrix, identity_grid(n))]
+    for _ in range(3):
+        perm = rng.sample(range(n), n)
+        B = [[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n * (n - 1) // 2)]
+        orthogonal.append((RatMatrix, exact_cayley(B, a)))
+        if n >= 2:
+            orthogonal.append((QuadMatrix, givens_product(rng, n, rng.randint(1, 2 * n))))
+    assert any(domain is QuadMatrix for domain, _ in orthogonal) == (n >= 2)
+    for domain, Q in orthogonal:
+        cases = [(Q, True), (nudged(Q, n - 1, n - 1, rng), False),
+                 (nudged(Q, rng.randrange(n), rng.randrange(n), rng), False)]
+        if n >= 2:
+            cases.append((column_swapped(Q, *rng.sample(range(n), 2)), True))
+            cases.append((column_copied(Q, *rng.sample(range(n), 2)), False))
+        for grid, want in cases:
+            assert gram_is_identity(grid) is want
+            assert is_orthogonal(domain.from_rows(grid)) is want
+
+
+def test_is_orthogonal_order_one_and_shape():
+    for domain in (RatMatrix, QuadMatrix):
+        assert is_orthogonal(domain.from_rows([[1]]))
+        assert is_orthogonal(domain.from_rows([[-1]]))
+        assert not is_orthogonal(domain.from_rows([[0]]))
+        with pytest.raises(ValueError, match="square"):
+            is_orthogonal(domain.from_rows([[1, 0]]))
+    assert not is_orthogonal(QuadMatrix.from_rows([[QuadRational(0, 1)]]))
+
+
 def test_det_sign_values(q1, q2):
     assert det_sign(q1) == 1
     assert det_sign(q2) == -1
@@ -278,7 +328,7 @@ def test_det_sign_values(q1, q2):
 
 
 def test_orthogonal_det_sign_never_zero(q1, q2, r3):
-    for M in (q1, q2, r3, RatMatrix.identity(4), RatMatrix.identity(4).scale(-1)):
+    for M in (q1, q2, r3, RatMatrix.from_rows(identity_grid(4)), RatMatrix.from_rows(grid_scale(identity_grid(4), -1))):
         assert is_orthogonal(M)
         assert det_sign(M) in (-1, 1)
 
@@ -345,7 +395,7 @@ def test_str_renders_every_cell_in_the_entry_grammar(q1, r3):
 
 def test_matrix_json_roundtrip(q1, r3):
     for M in (q1, r3):
-        assert parse_matrix_json(matrix_to_json(M)) == M
+        assert parse_matrix_json(json.dumps(matrix_to_jsonable(M))) == M
 
 
 def test_parse_matrix_json_reports_location():

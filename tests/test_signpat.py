@@ -29,6 +29,7 @@ from oracles import (
     brute_force_orbit,
     burnside_orbit_count,
     full_symmetry_group,
+    identity_grid,
     reference_orbit_representatives,
 )
 
@@ -146,7 +147,7 @@ def test_necessary_check_s3(s3):
 
 
 def test_necessary_check_identity():
-    assert necessary_check(sign_pattern_of(RatMatrix.identity(3))).passed
+    assert necessary_check(sign_pattern_of(RatMatrix.from_rows(identity_grid(3)))).passed
 
 
 def test_necessary_check_zero_row():
