@@ -33,9 +33,7 @@ from .hunt import (
 from .realize import (
     RealizationResult,
     SearchConfig,
-    objective,
     ortho_residual,
-    perturb,
     rational_certify,
     refine_from,
     reorthonormalize,
@@ -54,7 +52,6 @@ from .signpat import (
     orbit_of,
     orbit_representatives,
     pair_compatible,
-    random_group_element,
     sign_pattern_of,
     waters_forced_sign,
     waters_pattern,

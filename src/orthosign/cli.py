@@ -171,9 +171,11 @@ def cmd_realize(args, out) -> int:
 def cmd_hunt(args, out) -> int:
     S = load_pattern(args.pattern)
     cfg = _config_from_args(args)
-    seeds = [load_float_matrix(p) for p in args.seeds.split(",")] if args.seeds else None
+    paths = args.seeds.split(",") if args.seeds else []
+    if "" in paths:
+        raise ParseError(f"--seeds has an empty file name in {args.seeds!r}")
     sides = {"any": (1, -1), "+1": (1,), "-1": (-1,)}[args.det]
-    ev = classify_det_sign(S, cfg, seeds=seeds, sides=sides)
+    ev = classify_det_sign(S, cfg, seeds=[load_float_matrix(p) for p in paths], sides=sides)
     if args.json:
         out.write(render_json(ev.to_json_dict()))
     else:

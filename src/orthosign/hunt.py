@@ -163,12 +163,6 @@ class CensusReport:
     def ambiguous_count(self) -> int:
         return sum(1 for r in self.rows if r.verdict == AMBIGUOUS_FOUND)
 
-    def verdict_of(self, pattern: SignPattern) -> str:
-        for r in self.rows:
-            if r.pattern == pattern:
-                return r.verdict
-        raise KeyError("pattern is not a census orbit representative")
-
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,

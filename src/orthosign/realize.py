@@ -119,11 +119,12 @@ def _chart_map(n: int) -> np.ndarray:
 
 
 def ortho_residual(Q: np.ndarray) -> float:
-    """Max-norm of Q^T Q - I."""
+    """Max-norm of Q^T Q - I; inf when Q^T Q overflows."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("ortho_residual expects a square matrix")
-    return float(np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0]))))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0]))))
 
 
 def reorthonormalize(M) -> np.ndarray:
@@ -157,27 +158,8 @@ def float_det_sign(Q: np.ndarray) -> int:
     return int(sign)
 
 
-def perturb(Q: np.ndarray, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Entrywise uniform noise in [-eps, eps], the noise model used in tests."""
-    Q = np.asarray(Q, dtype=float)
-    return Q + rng.uniform(-eps, eps, size=Q.shape)
-
-
 def _signs(S: SignPattern) -> np.ndarray:
     return np.array(S.entries, dtype=float).reshape(S.n, S.n)
-
-
-def objective(S: SignPattern, Q: np.ndarray, margin: float) -> float:
-    """Penalty value: 0 iff every signed entry clears the margin and every
-    zero-pattern entry is exactly zero."""
-    # written so that NaN fails it
-    if not margin > 0:
-        raise ValueError("margin must be positive")
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (S.n, S.n):
-        raise ValueError(f"matrix shape {Q.shape} does not match pattern order {S.n}")
-    f, _, _ = _penalty_terms(_signs(S), margin, Q)
-    return float(f)
 
 
 def _penalty_terms(sarr: np.ndarray, margin: float, Q: np.ndarray):

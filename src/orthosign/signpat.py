@@ -229,12 +229,6 @@ class GroupElement:
             if sorted(perm) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
 
-    @classmethod
-    def identity(cls, n: int) -> "GroupElement":
-        one = (1,) * n
-        idp = tuple(range(n))
-        return cls(one, one, idp, idp, False)
-
     @property
     def n(self) -> int:
         return len(self.row_signs)
@@ -255,17 +249,6 @@ class GroupElement:
         for s in self.col_signs:
             f *= s
         return f
-
-
-def random_group_element(rng, n: int) -> GroupElement:
-    """Uniform-ish random symmetry, from a random.Random instance."""
-    return GroupElement(
-        tuple(rng.choice((-1, 1)) for _ in range(n)),
-        tuple(rng.choice((-1, 1)) for _ in range(n)),
-        tuple(rng.sample(range(n), n)),
-        tuple(rng.sample(range(n), n)),
-        bool(rng.getrandbits(1)),
-    )
 
 
 def _generators(n: int) -> list:

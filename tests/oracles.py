@@ -22,10 +22,13 @@ need the same floating-point steps, so it cannot use another formula; the
 chart's accuracy is checked against exact_cayley_q, which computes Q over
 Fractions with exact_cayley, the builder of the order-5 certificates too.
 
-The two helpers at the very end are no reference: chart_q and
+The helpers at the very end are no reference.  chart_q and
 chart_value_grad evaluate the package's own chart, at one point, so that the
 chart tests and the finite-difference gradient tests check the code the
-search runs.
+search runs.  perturb, identity_element and random_group_element build test
+inputs: entrywise uniform noise on a matrix, and the identity or a random
+element of the package's GroupElement.  The package's search takes its seeds
+as given and never draws noise or group elements itself.
 """
 
 from __future__ import annotations
@@ -352,3 +355,31 @@ def chart_value_grad(S, x, base, margin):
     K, I = _chart_map(S.n), np.eye(S.n)
     _, f, _, C, G = _chart_values(np.asarray(x, dtype=float)[None], K, I, base, sign_array(S)[None], margin)
     return float(f[0]), _chart_grad(base, C, G, K)[0]
+
+
+# -- test inputs -----------------------------------------------------------------
+
+def perturb(Q: np.ndarray, eps: float, rng: np.random.Generator) -> np.ndarray:
+    """Entrywise uniform noise in [-eps, eps], the noise model used in tests."""
+    Q = np.asarray(Q, dtype=float)
+    return Q + rng.uniform(-eps, eps, size=Q.shape)
+
+
+def identity_element(n):
+    """The identity of the symmetry group of n x n patterns."""
+    from orthosign.signpat import GroupElement
+
+    return GroupElement((1,) * n, (1,) * n, tuple(range(n)), tuple(range(n)), False)
+
+
+def random_group_element(rng, n: int):
+    """Uniform-ish random symmetry, from a random.Random instance."""
+    from orthosign.signpat import GroupElement
+
+    return GroupElement(
+        tuple(rng.choice((-1, 1)) for _ in range(n)),
+        tuple(rng.choice((-1, 1)) for _ in range(n)),
+        tuple(rng.sample(range(n), n)),
+        tuple(rng.sample(range(n), n)),
+        bool(rng.getrandbits(1)),
+    )

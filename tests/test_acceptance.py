@@ -23,7 +23,6 @@ from orthosign.hunt import (
 from orthosign.realize import (
     SearchConfig,
     ortho_residual,
-    perturb,
     rational_certify,
     refine_from,
     search_realization,
@@ -35,12 +34,20 @@ from orthosign.signpat import (
     act,
     canonical_form,
     necessary_check,
-    random_group_element,
     sign_pattern_of,
     waters_forced_sign,
     waters_pattern,
 )
-from oracles import chart_q, chart_value_grad, det_cofactor, exact_cayley, grid_scale, rational_matrix_to_grid
+from oracles import (
+    chart_q,
+    chart_value_grad,
+    det_cofactor,
+    exact_cayley,
+    grid_scale,
+    perturb,
+    random_group_element,
+    rational_matrix_to_grid,
+)
 
 
 @contextmanager

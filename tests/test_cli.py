@@ -207,6 +207,16 @@ def test_bad_float_seed_file(fixture_dir, tmp_path, capsys, text, error):
     assert f"float matrix in {seeds} {error}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["s.json,", ","])
+def test_empty_seed_file_name(fixture_dir, tmp_path, capsys, seeds):
+    (tmp_path / "s.json").write_text("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    seeds = seeds.replace("s.json", str(tmp_path / "s.json"))
+    assert main(["hunt", str(fixture_dir / "s3.pat"), "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert f"--seeds has an empty file name in {seeds!r}" in err
+    assert "Is a directory" not in err
+
+
 def test_invalid_json_float_seed_file(fixture_dir, tmp_path, capsys):
     seeds = tmp_path / "s.json"
     seeds.write_text("[[1, 0],\n [0, 1]")

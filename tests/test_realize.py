@@ -9,10 +9,9 @@ import pytest
 from orthosign.realize import (
     RealizationResult,
     SearchConfig,
+    _penalty_terms,
     float_det_sign,
-    objective,
     ortho_residual,
-    perturb,
     rational_certify,
     refine_from,
     reorthonormalize,
@@ -33,6 +32,7 @@ from oracles import (
     chart_q,
     chart_value_grad,
     exact_cayley_q,
+    perturb,
     reference_accept,
     reference_refine_from,
     reference_search_realization,
@@ -95,15 +95,15 @@ def test_chart_matches_exact_cayley_transform():
 # -- objective -------------------------------------------------------------------
 
 def test_objective_zero_on_q1_with_slack(pstar, q1):
-    assert objective(pstar, to_float(q1), 0.2) == 0.0
+    assert _penalty_terms(sign_array(pstar), 0.2, to_float(q1))[0] == 0.0
 
 
 def test_objective_positive_above_smallest_entry(pstar, q1):
-    assert objective(pstar, to_float(q1), 0.3) > 0.0
+    assert _penalty_terms(sign_array(pstar), 0.3, to_float(q1))[0] > 0.0
 
 
 def test_objective_zero_on_q2_at_small_margin(pstar, q2):
-    assert objective(pstar, to_float(q2), 0.01) == 0.0
+    assert _penalty_terms(sign_array(pstar), 0.01, to_float(q2))[0] == 0.0
 
 
 def test_objective_zero_implies_pattern_agreement():
@@ -111,7 +111,7 @@ def test_objective_zero_implies_pattern_agreement():
     S = SignPattern.from_rows([[1, -1, 0], [1, 1, -1], [1, 1, 1]])
     res = search_realization(S, "any", SearchConfig(rng_seed=1))
     assert res is not None
-    assert objective(S, res.q, 1e-6) == 0.0
+    assert _penalty_terms(sign_array(S), 1e-6, res.q)[0] == 0.0
     P = sign_pattern_of(res.q)
     for i in range(3):
         for j in range(3):
@@ -119,15 +119,6 @@ def test_objective_zero_implies_pattern_agreement():
                 assert P[i, j] == S[i, j]
             else:
                 assert res.q[i, j] == 0.0
-
-
-def test_objective_validates_shape(pstar):
-    with pytest.raises(ValueError):
-        objective(pstar, np.eye(3), 0.1)
-    with pytest.raises(ValueError):
-        objective(pstar, np.eye(7), -0.1)
-    with pytest.raises(ValueError):
-        objective(pstar, np.eye(7), float("nan"))
 
 
 def test_gradient_matches_finite_differences():
@@ -432,7 +423,7 @@ def test_refine_exact_q1_is_immediate(pstar, q1):
     assert res.objective_value == 0.0
     # the smallest magnitude in q1 is exactly 0.25, so that margin is the
     # largest with objective 0 (boundary probed on the exact float image)
-    assert objective(pstar, to_float(q1), 0.25) == 0.0
+    assert _penalty_terms(sign_array(pstar), 0.25, to_float(q1))[0] == 0.0
 
 
 def test_refine_rejects_mismatched_target(pstar, q1):
@@ -442,6 +433,8 @@ def test_refine_rejects_mismatched_target(pstar, q1):
 def test_refine_rejects_far_from_orthogonal(pstar):
     with pytest.raises(ValueError):
         refine_from(np.ones((7, 7)), pstar, "any", SearchConfig())
+    with pytest.raises(ValueError, match="too far from orthogonal"):
+        refine_from(np.full((7, 7), 1e200), pstar, "any", SearchConfig())
     with pytest.raises(ValueError, match="does not match pattern order"):
         refine_from(np.eye(3), pstar, "any", SearchConfig())
 
