@@ -4,11 +4,19 @@ Everything in this module is integer/fraction arithmetic: no float is
 trusted anywhere, and one is made only where a caller asks for float(x).
 One dense, row-major, immutable matrix type, ExactMatrix, comes in two
 scalar domains: RatMatrix over Q and QuadMatrix over Q(sqrt2).  sgn is the
-one sign function for exact scalars.  Orthogonality is decided column pair
-by column pair: the exact dot product of columns i <= j must be 1 when
-i = j and 0 otherwise, and the first pair that misses decides; no Gram
-matrix is built.  Determinants are computed with fraction-free (Bareiss)
-elimination.  Entry strings follow one grammar, the pattern _ENTRY_RE.
+one sign function for exact scalars.
+
+The two checks run on scaled integers: _scaled multiplies entries by their
+least common denominator, which turns rationals into Python ints and
+elements of Q(sqrt2) into pairs p + q*sqrt2 of the ring Z[sqrt2] (_Z2), and
+no Fraction or QuadRational arithmetic runs inside their loops.
+Orthogonality is decided column pair by column pair on D*A, D one
+denominator for the whole matrix: the dot product of columns i <= j must be
+D^2 when i = j and 0 otherwise, and the first pair that misses decides; no
+Gram matrix is built.  Determinants clear each row's denominators, run
+fraction-free (Bareiss) elimination in the ring, the same code for both
+domains, and divide the product of the row scales back out.  Entry strings
+follow one grammar, the pattern _ENTRY_RE.
 """
 
 from __future__ import annotations
@@ -190,11 +198,62 @@ class QuadMatrix(ExactMatrix):
     _coerce = staticmethod(QuadRational._coerce)
 
 
-def _det_bareiss(a: list[list], zero, one, div):
-    """Fraction-free (Bareiss) determinant over an integral domain.
+class _Z2:
+    """Element p + q*sqrt(2) of the ring Z[sqrt2], integer parts, slotted.
 
-    `div` is exact division in the domain: every quotient below is exact by
-    Sylvester's identity (prev divides the 2x2 minor).  Entries are consumed.
+    Only what fraction-free elimination and a dot product need: +, -, *, ==
+    and exact division //.
+    """
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        self.p = p
+        self.q = q
+
+    def __add__(self, o):
+        return _Z2(self.p + o.p, self.q + o.q)
+
+    def __sub__(self, o):
+        return _Z2(self.p - o.p, self.q - o.q)
+
+    def __neg__(self):
+        return _Z2(-self.p, -self.q)
+
+    def __mul__(self, o):
+        return _Z2(self.p * o.p + 2 * self.q * o.q, self.p * o.q + self.q * o.p)
+
+    def __eq__(self, o):
+        return self.p == o.p and self.q == o.q
+
+    def __floordiv__(self, o):
+        # x / y = x * conj(y) / N(y) with the norm N(y) = p^2 - 2q^2, which
+        # may be negative; a caller divides only where the quotient lies in
+        # Z[sqrt2], so both parts divide exactly
+        n = o.p * o.p - 2 * o.q * o.q
+        return _Z2((self.p * o.p - 2 * self.q * o.q) // n, (self.q * o.p - self.p * o.q) // n)
+
+
+def _scaled(entries: Sequence) -> tuple[list, int]:
+    """(entries times m, m), m the least common denominator of the entries.
+
+    Rationals become ints, Q(sqrt2) elements _Z2 pairs; entries are all of
+    one matrix's domain.
+    """
+    if isinstance(entries[0], QuadRational):
+        m = lcm(*(x.denominator for e in entries for x in (e.a, e.b)))
+        return [_Z2(e.a.numerator * (m // e.a.denominator), e.b.numerator * (m // e.b.denominator))
+                for e in entries], m
+    m = lcm(*(e.denominator for e in entries))
+    return [e.numerator * (m // e.denominator) for e in entries], m
+
+
+def _det_bareiss(a: list[list], zero, one):
+    """Fraction-free (Bareiss) determinant of a square matrix over Z or
+    Z[sqrt2].
+
+    Every division below is exact by Sylvester's identity (prev divides the
+    2x2 minor), so // loses nothing.  Entries are consumed.
     """
     n = len(a)
     sign = 1
@@ -211,7 +270,7 @@ def _det_bareiss(a: list[list], zero, one, div):
         pivot = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = div(pivot * a[i][j] - a[i][k] * a[k][j], prev)
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
         prev = pivot
     return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
 
@@ -220,18 +279,16 @@ def det(A: ExactMatrix):
     """Exact determinant of a square matrix (Fraction or QuadRational)."""
     if A.rows != A.cols:
         raise ValueError(f"determinant requires a square matrix, got {A.rows}x{A.cols}")
-    n = A.rows
-    if isinstance(A, QuadMatrix):
-        return _det_bareiss([list(A.row(i)) for i in range(n)], QuadRational(0, 0), QuadRational(1, 0), operator.truediv)
-    # clear denominators row by row, eliminate in plain integers, divide back
+    # clear denominators row by row, eliminate in the ring, divide back
     scale = 1
     cleared = []
-    for i in range(n):
-        row = A.row(i)
-        m = lcm(*(e.denominator for e in row))
+    for i in range(A.rows):
+        row, m = _scaled(A.row(i))
         scale *= m
-        cleared.append([int(e * m) for e in row])
-    return Fraction(_det_bareiss(cleared, 0, 1, operator.floordiv), scale)
+        cleared.append(row)
+    quad = isinstance(A, QuadMatrix)
+    d = _det_bareiss(cleared, *((_Z2(0, 0), _Z2(1, 0)) if quad else (0, 1)))
+    return QuadRational(Fraction(d.p, scale), Fraction(d.q, scale)) if quad else Fraction(d, scale)
 
 
 def det_sign(A: ExactMatrix) -> int:
@@ -240,14 +297,21 @@ def det_sign(A: ExactMatrix) -> int:
 
 
 def is_orthogonal(A: ExactMatrix) -> bool:
-    """True iff A^T A is the identity exactly: for every pair of columns
-    i <= j the dot product is 1 if i = j and 0 if not.  Returns False at the
-    first pair that misses, in either domain."""
+    """True iff A^T A is the identity exactly.  With D the least common
+    denominator of A's entries and B = D*A over Z or Z[sqrt2], the dot
+    product of columns i <= j of B must be D^2 if i = j and 0 if not.
+    Returns False at the first pair that misses, in either domain."""
     if A.rows != A.cols:
         raise ValueError(f"orthogonality requires a square matrix, got {A.rows}x{A.cols}")
     n = A.rows
-    cols = [A.entries[j::n] for j in range(n)]
-    return all(sum(map(operator.mul, cols[i], cols[j])) == int(i == j) for i in range(n) for j in range(i, n))
+    flat, d = _scaled(A.entries)
+    zero, norm = (_Z2(0, 0), _Z2(d * d, 0)) if isinstance(A, QuadMatrix) else (0, d * d)
+    cols = [flat[j::n] for j in range(n)]
+    return all(
+        sum(map(operator.mul, cols[i], cols[j]), zero) == (norm if i == j else zero)
+        for i in range(n)
+        for j in range(i, n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +335,12 @@ _ENTRY_RE = re.compile(
 )
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction from the integer text of a matched "p" or "p/q"."""
+    p, _, q = text.partition("/")
+    return Fraction(int(p), int(q or 1))
+
+
 def parse_entry(s: str):
     """Parse one exact entry string into a Fraction or QuadRational.
 
@@ -283,8 +353,8 @@ def parse_entry(s: str):
         raise ParseError(f"bad entry {s!r}")
     try:
         if m["rat"] is not None:
-            return Fraction(m["rat"])
-        return QuadRational(Fraction(m["a"] or 0), Fraction(m["sign"] + (m["b"] or "1")))
+            return _fraction(m["rat"])
+        return QuadRational(_fraction(m["a"] or "0"), _fraction(m["sign"] + (m["b"] or "1")))
     except ZeroDivisionError:
         raise ParseError(f"bad entry {s!r}: zero denominator") from None
 

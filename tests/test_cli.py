@@ -10,7 +10,6 @@ import pytest
 import orthosign
 from orthosign.cli import _config_from_args, build_parser, main, render_json
 from orthosign.exact import RatMatrix, matrix_to_jsonable, parse_matrix_json
-from orthosign.fixtures import fixture_text
 from orthosign.realize import SearchConfig
 
 

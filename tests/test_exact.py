@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -191,10 +192,16 @@ def test_det_quad_matrix(r3):
     assert det(A) == QuadRational(2, 0)
 
 
-# Q(sqrt2) entries with small a, b parts; zeros are drawn often so that zero
-# pivots, row swaps and singular matrices occur in that domain too
-small_quads = st.one_of(st.just(QuadRational(0, 0)), st.builds(QuadRational, st.integers(-3, 3), st.integers(-3, 3)))
+# Q(sqrt2) entries with small a, b parts whose denominators differ, so that
+# det clears a different scale from each row; zeros are drawn often so that
+# zero pivots, row swaps and singular matrices occur in that domain too
+small_quads = st.one_of(
+    st.just(QuadRational(0, 0)),
+    st.builds(QuadRational, st.fractions(-3, 3, max_denominator=3), st.fractions(-3, 3, max_denominator=4)),
+)
 S2 = QuadRational(0, 1)
+# 1 + sqrt2, a unit of negative norm: 1^2 - 2 * 1^2 = -1
+UNIT = QuadRational(1, 1)
 
 
 @settings(max_examples=120)
@@ -209,11 +216,28 @@ S2 = QuadRational(0, 1)
 # zero pivot at step 2 (row swap), and a singular matrix (row 2 = sqrt2 * row 1)
 @example([1, 1, 1, 1, 1, 2, S2, 0, 1])
 @example([1, S2, 0, S2, 2, 0, 0, 0, 1])
+# first pivot 1 + sqrt2 of norm -1, which step 2 divides by
+@example([UNIT, 1, S2, 1, QuadRational(1, -1), Fraction(1, 3), S2, 2, QuadRational(Fraction(1, 2), 1)])
+# zero first pivot: row 1 swaps with row 2
+@example([0, S2, 1, S2, 1, 0, 1, Fraction(1, 2), QuadRational(Fraction(2, 3), Fraction(-1, 4))])
 def test_det_bareiss_matches_cofactor(flat):
     n = int(len(flat) ** 0.5)
     rows = [flat[i * n : (i + 1) * n] for i in range(n)]
     domain = QuadMatrix if any(isinstance(e, QuadRational) for e in flat) else RatMatrix
     assert det(domain.from_rows(rows)) == det_cofactor(rows)
+
+
+def test_det_of_a_givens_rotation_times_q2(q2):
+    """A 45-degree rotation in the plane of the first two coordinates times
+    q2, exactly: orthogonal with determinant -1, its entries a + b*sqrt2
+    with denominators up to 2 * 20014."""
+    h = QuadRational(0, Fraction(1, 2))
+    G = [[QuadRational(int(i == j), 0) for j in range(7)] for i in range(7)]
+    G[0][0], G[0][1], G[1][0], G[1][1] = h, -h, h, h
+    A = QuadMatrix.from_rows(int_matmul(G, rational_matrix_to_grid(q2)))
+    assert is_orthogonal(A)
+    assert det(A) == -1
+    assert det_sign(A) == -1
 
 
 def test_det_multiplicative():
@@ -321,6 +345,17 @@ def test_is_orthogonal_order_one_and_shape():
     assert not is_orthogonal(QuadMatrix.from_rows([[QuadRational(0, 1)]]))
 
 
+def test_is_orthogonal_checks_the_sqrt2_part():
+    # (1/3 + 2/3 sqrt2)^2 = 1 + 4/9 sqrt2: the rational part of each column
+    # norm is 1, the sqrt2 part is not 0
+    x = QuadRational(Fraction(1, 3), Fraction(2, 3))
+    assert not is_orthogonal(QuadMatrix.from_rows([[x]]))
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    A = QuadMatrix.from_rows([[c * x, -s * x], [s * x, c * x]])
+    assert not is_orthogonal(A)
+    assert is_orthogonal(QuadMatrix.from_rows([[c, -s], [s, c]]))
+
+
 def test_det_sign_values(q1, q2):
     assert det_sign(q1) == 1
     assert det_sign(q2) == -1
@@ -364,6 +399,46 @@ def test_parse_entry(text, value):
 def test_parse_entry_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_entry(bad)
+
+
+# integer texts with leading zeros, short or of 60 digits and more
+digit_texts = st.builds(lambda zeros, k: "0" * zeros + str(k), st.integers(0, 3),
+                        st.one_of(st.integers(0, 999), st.integers(10**59, 10**80)))
+sign_texts = st.sampled_from(["", "+", "-"])
+unsigned_texts = st.builds(lambda p, q: p if q is None else f"{p}/{q}", digit_texts, st.none() | digit_texts)
+rational_texts = st.builds(operator.add, sign_texts, unsigned_texts)
+
+
+@given(rational_texts)
+@example("-0/5")
+@example("+007/010")
+@example("1/0")
+def test_parse_rational_entry_matches_fraction_text(text):
+    try:
+        want = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_entry(text)
+        return
+    got = parse_entry(text)
+    assert type(got) is Fraction
+    assert got == want
+
+
+@given(st.none() | rational_texts, sign_texts, st.none() | unsigned_texts, st.booleans())
+@example(None, "", "0", True)
+@example("-0/5", "-", "0/7", False)
+def test_parse_quad_entry_matches_fraction_text(a, sign, b, star):
+    if a is not None and not sign:
+        sign = "+"  # after p/q the sign is required
+    text = (a or "") + sign + (b + "*" * star if b else "") + "sqrt2"
+    try:
+        want = QuadRational(Fraction(a or "0"), Fraction(sign + (b or "1")))
+    except ZeroDivisionError:
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_entry(text)
+        return
+    assert parse_entry(text) == want
 
 
 @given(rationals)

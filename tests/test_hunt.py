@@ -6,7 +6,6 @@ from orthosign.hunt import (
     NONE_FOUND,
     ONLY_MINUS_FOUND,
     ONLY_PLUS_FOUND,
-    CensusAmbiguityError,
     census,
     census_default_config,
     classify_det_sign,

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from orthosign.realize import (
-    RealizationResult,
     SearchConfig,
     _penalty_terms,
     float_det_sign,
