@@ -3,8 +3,9 @@
 Everything in this module is integer/fraction arithmetic: no float is
 trusted anywhere, and one is made only where a caller asks for float(x).
 One dense, row-major, immutable matrix type, ExactMatrix, comes in two
-scalar domains: RatMatrix over Q and QuadMatrix over Q(sqrt2).  sgn is the
-one sign function for exact scalars.
+scalar domains: RatMatrix over Q and QuadMatrix over Q(sqrt2); an entry
+that is already a Fraction is kept, not rebuilt.  sgn is the one sign
+function for exact scalars.
 
 The two checks run on scaled integers: _scaled multiplies entries by their
 least common denominator, which turns rationals into Python ints and
@@ -50,11 +51,19 @@ def sgn(x) -> int:
             return sa or sb
         # opposite signs: compare a^2 with 2b^2 (equality would force a=b=0)
         return sa * sgn(x.a * x.a - 2 * x.b * x.b)
+    if isinstance(x, Fraction):
+        # a Fraction's denominator is positive: the numerator carries the sign
+        x = x.numerator
     if x > 0:
         return 1
     if x < 0:
         return -1
     return 0
+
+
+def _rational(x) -> Fraction:
+    """x as a Fraction; a Fraction is kept, not rebuilt."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 # the double nearest sqrt(2), as an exact fraction (relative error < 7e-17)
@@ -73,15 +82,15 @@ class QuadRational:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", _rational(self.a))
+        object.__setattr__(self, "b", _rational(self.b))
 
     @staticmethod
     def _coerce(x) -> "QuadRational":
         if isinstance(x, QuadRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return QuadRational(Fraction(x), Fraction(0))
+            return QuadRational(x, 0)
         raise TypeError(f"cannot coerce {type(x).__name__} into Q(sqrt2)")
 
     def __add__(self, other):
@@ -102,16 +111,6 @@ class QuadRational:
         return QuadRational(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        # (a+b*sqrt2)/(c+d*sqrt2) = (a+b*sqrt2)(c-d*sqrt2)/(c^2-2d^2); the
-        # norm c^2-2d^2 vanishes only at c = d = 0.
-        norm = o.a * o.a - 2 * o.b * o.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        num = self * QuadRational(o.a, -o.b)
-        return QuadRational(num.a / norm, num.b / norm)
 
     def __neg__(self):
         return QuadRational(-self.a, -self.b)
@@ -189,7 +188,7 @@ class ExactMatrix:
 class RatMatrix(ExactMatrix):
     """Dense matrix over Q; entries are Fractions."""
 
-    _coerce = Fraction
+    _coerce = staticmethod(_rational)
 
 
 class QuadMatrix(ExactMatrix):

@@ -46,6 +46,7 @@ re-verified with exact arithmetic.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,6 +67,14 @@ def _normalize_target(target: Target):
     if target == TARGET_ANY:
         return None
     raise ValueError(f"determinant target must be +1, -1 or 'any', got {target!r}")
+
+
+def _denom_bound(bound) -> int:
+    """The bound as a Python int (a numpy integer too), else a TypeError."""
+    try:
+        return operator.index(bound)
+    except TypeError:
+        raise TypeError(f"denom_bound must be an integer, got {type(bound).__name__}") from None
 
 
 @dataclass(frozen=True)
@@ -102,8 +111,10 @@ class SearchConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.time_budget is not None and not (self.time_budget >= 0):
             raise ValueError("time_budget must be nonnegative")
-        if self.denom_bound is not None and self.denom_bound < 1:
-            raise ValueError("denom_bound must be at least 1")
+        if self.denom_bound is not None:
+            object.__setattr__(self, "denom_bound", _denom_bound(self.denom_bound))
+            if self.denom_bound < 1:
+                raise ValueError("denom_bound must be at least 1")
 
 
 def _chart_map(n: int) -> np.ndarray:
@@ -470,14 +481,46 @@ def refine_from(Q0, S: SignPattern, target: Target, cfg: Optional[SearchConfig] 
     return _assemble(sarr, cfg, *found[0]) if found else None
 
 
+def _best_rational(x: float, bound: int) -> Fraction:
+    """Fraction(x).limit_denominator(bound), computed on ints.
+
+    The best approximation with denominator <= bound is the last convergent
+    p1/q1 of x's continued fraction within the bound or the semiconvergent
+    (p0 + k*p1)/(q0 + k*q1) with the largest k that stays within it
+    (Khinchin, Continued Fractions, 1964, sec. 6).  They lie 1/(q1*(q0 + k*q1))
+    apart and the convergent lies d/(q1*den) from x, d the remainder where the
+    expansion stopped, so the convergent wins iff 2*d*(q0 + k*q1) <= den; a
+    tie goes to the convergent, as in CPython.
+    """
+    num, den = x.as_integer_ratio()
+    if den <= bound:
+        return Fraction(num, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 def rational_certify(Q, denom_bound: int) -> Optional[RatMatrix]:
     """Lift a float matrix to an exactly verified rational orthogonal matrix.
 
     Each entry is replaced by its best rational approximation with denominator
-    <= denom_bound (continued-fraction convergent); the candidate must then
-    pass the exact orthogonality check and reproduce the float sign pattern,
-    else None.
+    <= denom_bound, a continued-fraction convergent or semiconvergent computed
+    on Python ints by _best_rational (the same value as
+    Fraction.limit_denominator); the candidate must then pass the exact
+    orthogonality check and reproduce the float sign pattern, else None.
+    denom_bound is an int or a numpy integer.
     """
+    denom_bound = _denom_bound(denom_bound)
     if denom_bound < 1:
         raise ValueError("denominator bound must be at least 1")
     Q = np.asarray(Q, dtype=float)
@@ -486,7 +529,7 @@ def rational_certify(Q, denom_bound: int) -> Optional[RatMatrix]:
     if not np.all(np.isfinite(Q)):
         raise ValueError("matrix entries must be finite")
     n = Q.shape[0]
-    cand = RatMatrix(n, n, tuple(Fraction(float(q)).limit_denominator(denom_bound) for q in Q.flat))
+    cand = RatMatrix(n, n, tuple(_best_rational(q, denom_bound) for q in Q.ravel().tolist()))
     if not is_orthogonal(cand):
         return None
     if sign_pattern_of(cand) != sign_pattern_of(Q):

@@ -156,12 +156,13 @@ def necessary_check(S: SignPattern) -> NecessaryCheckReport:
     all-zero row/column as (axis, i, i).
     """
     failures = []
-    for axis, line in (("row", S.row), ("col", S.col)):
-        for i in range(S.n):
-            if all(e == 0 for e in line(i)):
+    rows = [S.row(i) for i in range(S.n)]
+    for axis, lines in (("row", rows), ("col", list(zip(*rows)))):
+        for i, line in enumerate(lines):
+            if not any(line):
                 failures.append(Incompatibility(axis, i, i))
         for i, j in itertools.combinations(range(S.n), 2):
-            if not pair_compatible(line(i), line(j)):
+            if not pair_compatible(lines[i], lines[j]):
                 failures.append(Incompatibility(axis, i, j))
     return NecessaryCheckReport(not failures, tuple(failures))
 

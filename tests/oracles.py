@@ -145,6 +145,25 @@ def reference_orbit_representatives(n):
     return reps
 
 
+def reference_necessary_check(S):
+    """(passed, failures) of signpat.necessary_check, pair by pair: for each
+    axis the all-zero lines (axis, i, i), then every pair i < j of lines,
+    read with S.row or S.col, whose entrywise sign products are not all zero
+    and do not hit both +1 and -1, as (axis, i, j)."""
+    failures = []
+    for axis, line in (("row", S.row), ("col", S.col)):
+        for i in range(S.n):
+            if all(e == 0 for e in line(i)):
+                failures.append((axis, i, i))
+        for i in range(S.n):
+            for j in range(i + 1, S.n):
+                prods = [a * b for a, b in zip(line(i), line(j))]
+                mixed = 1 in prods and -1 in prods
+                if not (mixed or not any(prods)):
+                    failures.append((axis, i, j))
+    return not failures, tuple(failures)
+
+
 def rational_matrix_to_grid(M):
     return tuple(tuple(M[i, j] for j in range(M.cols)) for i in range(M.rows))
 

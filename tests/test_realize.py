@@ -1,13 +1,19 @@
 import itertools
+import math
 import threading
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from orthosign.exact import RatMatrix
+from orthosign.fixtures import get_fixture
 from orthosign.realize import (
     SearchConfig,
+    _best_rational,
     _penalty_terms,
     float_det_sign,
     ortho_residual,
@@ -463,6 +469,53 @@ def test_certify_rejects_orthogonal_rounding_with_another_pattern():
     Q = np.array([[c, -s], [s, c]])
     assert [Fraction(float(q)).limit_denominator(8) for q in Q.flat] == [1, 0, 0, 1]
     assert rational_certify(Q, 8) is None
+
+
+def _q2_examples(test):
+    """One example per distinct entry of q2, at q2's denominator 20014."""
+    for x in sorted(set(to_float(get_fixture("q2")).ravel().tolist())):
+        test = example(x, 20014)(test)
+    return test
+
+
+# entries of an orthogonal matrix lie in [-1, 1]; the rest of the float range too
+@given(st.one_of(st.floats(-1, 1), st.floats(allow_nan=False, allow_infinity=False)), st.integers(1, 10**12))
+# 311/99 is a semiconvergent of pi (the convergents are 3, 22/7, 333/106)
+@example(math.pi, 100)
+@example(0.0, 1)
+@example(-0.0, 1)
+@example(5e-324, 10**12)
+@example(1e300, 7)
+@example(-1e300, 7)
+# midway between two integers at bound 1: the tie goes to the floor
+@example(0.5, 1)
+@example(-0.5, 1)
+@example(1.5, 1)
+@_q2_examples
+def test_best_rational_is_limit_denominator(x, bound):
+    got = _best_rational(x, bound)
+    assert type(got) is Fraction
+    assert got == Fraction(x).limit_denominator(bound)
+
+
+ROT_3_4_5 = np.array([[0.6, -0.8], [0.8, 0.6]])
+
+
+def test_certify_takes_a_numpy_integer_bound():
+    want = RatMatrix.from_rows([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
+    for bound in (8, np.int64(8), np.int32(8), np.uint16(8)):
+        assert rational_certify(ROT_3_4_5, bound) == want
+        cfg = SearchConfig(denom_bound=bound)
+        assert type(cfg.denom_bound) is int and cfg.denom_bound == 8
+
+
+def test_float_bound_is_a_type_error():
+    for bound in (8.0, np.float64(8.0), "8"):
+        for Q in (ROT_3_4_5, np.eye(2)):
+            with pytest.raises(TypeError, match="denom_bound must be an integer"):
+                rational_certify(Q, bound)
+        with pytest.raises(TypeError, match="denom_bound must be an integer"):
+            SearchConfig(denom_bound=bound)
 
 
 def test_certify_validates_input():

@@ -31,6 +31,7 @@ from oracles import (
     identity_element,
     identity_grid,
     random_group_element,
+    reference_necessary_check,
     reference_orbit_representatives,
 )
 
@@ -156,6 +157,22 @@ def test_necessary_check_zero_row():
     report = necessary_check(S)
     assert not report.passed
     assert ("row", 0, 0) in [(f.axis, f.i, f.j) for f in report.failures]
+
+
+def test_necessary_check_matches_pairwise_reference():
+    patterns = [SignPattern(n, e) for n in (1, 2, 3) for e in itertools.product((-1, 0, 1), repeat=n * n)]
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(4, 8)
+        # a zero-heavy draw too, so that zero lines and disjoint supports occur
+        weights = rng.choice(((1, 1, 1), (1, 3, 1)))
+        patterns.append(SignPattern(n, tuple(rng.choices((-1, 0, 1), weights, k=n * n))))
+    outcomes = set()
+    for S in patterns:
+        report = necessary_check(S)
+        assert (report.passed, report.failures) == reference_necessary_check(S), S
+        outcomes.add(report.passed)
+    assert outcomes == {True, False}
 
 
 def test_necessary_check_invariant_under_symmetry(s3, t3, pstar):
