@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures as fixture_catalog
-from .exact import ParseError, det_sign, is_orthogonal, parse_matrix_json
+from .exact import ParseError, det_sign, is_orthogonal, load_json, parse_matrix_json
 from .hunt import CensusAmbiguityError, census, census_default_config, classify_det_sign
 from .realize import SearchConfig, search_realization, to_float
 from .signpat import SignPattern, UnsupportedOrderError, necessary_check, sign_pattern_of
@@ -48,10 +48,7 @@ def load_exact_matrix(path: str):
 def load_float_matrix(path: str) -> np.ndarray:
     """Accept either the exact JSON format or a plain nested array of numbers."""
     text = _read_text(path)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in {path}: {e.msg}", line=e.lineno, col=e.colno) from None
+    obj = load_json(text, f" in {path}")
     # checked by hand: numpy would read true and "1" as 1.0
     if not isinstance(obj, dict) and not (
             isinstance(obj, list) and obj and all(isinstance(row, list) and len(row) == len(obj)
@@ -116,8 +113,6 @@ def _result_lines(tag: str, res) -> list:
 
 def cmd_verify(args, out) -> int:
     M = load_exact_matrix(args.matrix)
-    if M.rows != M.cols:
-        raise ParseError(f"verify expects a square matrix, got {M.rows}x{M.cols}")
     ortho = is_orthogonal(M)
     ds = det_sign(M)
     pat = sign_pattern_of(M)

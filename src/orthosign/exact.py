@@ -2,7 +2,9 @@
 
 Everything in this module is integer/fraction arithmetic: no float is
 trusted anywhere, and one is made only where a caller asks for float(x).
-One dense, row-major, immutable matrix type, ExactMatrix, comes in two
+Every matrix is square by construction: SquareMatrix(n, entries) owns the
+shape, for sign patterns and exact matrices alike, and a subclass only
+converts its entries.  The one exact-matrix type, ExactMatrix, comes in two
 scalar domains: RatMatrix over Q and QuadMatrix over Q(sqrt2); an entry
 that is already a Fraction is kept, not rebuilt.  sgn is the one sign
 function for exact scalars.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -144,44 +147,47 @@ class QuadRational:
 
 
 @dataclass(frozen=True)
-class ExactMatrix:
-    """Dense immutable matrix over an exact scalar domain, row-major entries.
+class SquareMatrix:
+    """Dense immutable n x n matrix, row-major entries: the one shape of the
+    package.  A subclass only converts its entries, in _convert."""
 
-    The subclasses RatMatrix (over Q) and QuadMatrix (over Q(sqrt2)) fix the
-    domain: `_coerce` maps an int, a Fraction or a domain element into it.
-    """
-
-    rows: int
-    cols: int
+    n: int
     entries: tuple
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"matrix shape {self.rows}x{self.cols} must be at least 1x1")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries for a {self.rows}x{self.cols} matrix, got {len(self.entries)}"
-            )
-        object.__setattr__(self, "entries", tuple(map(self._coerce, self.entries)))
+        if self.n < 1:
+            raise ValueError(f"matrix order must be at least 1, got {self.n}")
+        entries = tuple(self.entries)
+        if len(entries) != self.n * self.n:
+            raise ValueError(f"expected {self.n * self.n} entries for order {self.n}, got {len(entries)}")
+        object.__setattr__(self, "entries", self._convert(entries))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]):
         rows = [tuple(r) for r in rows]
-        cols = len(rows[0]) if rows else 0
-        if any(len(r) != cols for r in rows):
-            raise ValueError(f"ragged rows: lengths {[len(r) for r in rows]}")
-        return cls(len(rows), cols, tuple(e for r in rows for e in r))
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError(f"a square matrix needs {len(rows)} rows of length {len(rows)}, got {[len(r) for r in rows]}")
+        return cls(len(rows), tuple(e for r in rows for e in r))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.entries[i * self.n + j]
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self.entries[i * self.n : (i + 1) * self.n]
+
+
+class ExactMatrix(SquareMatrix):
+    """Square matrix over an exact scalar domain, fixed by the subclass,
+    RatMatrix (over Q) or QuadMatrix (over Q(sqrt2)): its `_coerce` maps an
+    int, a Fraction or a domain element into the domain."""
+
+    def _convert(self, entries: tuple) -> tuple:
+        return tuple(map(self._coerce, entries))
 
     def __str__(self):
-        cells = [[format_entry(e) for e in self.row(i)] for i in range(self.rows)]
-        width = [max(len(r[j]) for r in cells) for j in range(self.cols)]
+        cells = [[format_entry(e) for e in self.row(i)] for i in range(self.n)]
+        width = [max(len(r[j]) for r in cells) for j in range(self.n)]
         return "\n".join("[" + "  ".join(c.rjust(width[j]) for j, c in enumerate(r)) + "]" for r in cells)
 
 
@@ -275,13 +281,11 @@ def _det_bareiss(a: list[list], zero, one):
 
 
 def det(A: ExactMatrix):
-    """Exact determinant of a square matrix (Fraction or QuadRational)."""
-    if A.rows != A.cols:
-        raise ValueError(f"determinant requires a square matrix, got {A.rows}x{A.cols}")
+    """Exact determinant (Fraction or QuadRational)."""
     # clear denominators row by row, eliminate in the ring, divide back
     scale = 1
     cleared = []
-    for i in range(A.rows):
+    for i in range(A.n):
         row, m = _scaled(A.row(i))
         scale *= m
         cleared.append(row)
@@ -300,9 +304,7 @@ def is_orthogonal(A: ExactMatrix) -> bool:
     denominator of A's entries and B = D*A over Z or Z[sqrt2], the dot
     product of columns i <= j of B must be D^2 if i = j and 0 if not.
     Returns False at the first pair that misses, in either domain."""
-    if A.rows != A.cols:
-        raise ValueError(f"orthogonality requires a square matrix, got {A.rows}x{A.cols}")
-    n = A.rows
+    n = A.n
     flat, d = _scaled(A.entries)
     zero, norm = (_Z2(0, 0), _Z2(d * d, 0)) if isinstance(A, QuadMatrix) else (0, d * d)
     cols = [flat[j::n] for j in range(n)]
@@ -314,8 +316,27 @@ def is_orthogonal(A: ExactMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact matrix file format: JSON {"rows": n, "cols": m, "entries": [[str]]}
-# with each string in the entry grammar below.
+# Exact matrix file format: JSON {"rows": n, "cols": n, "entries": [[str]]},
+# n >= 1, with each string in the entry grammar below.
+
+# a JSON string, skipped, or an integer number, its digits in group 1
+_JSON_STRING_OR_INT_RE = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![\d.eE+-])-?(\d+)(?![\d.eE])')
+
+
+def load_json(text: str, source: str = ""):
+    """json.loads, with every failure a ParseError that has a location;
+    source names the input in the message, as in " in seeds.json"."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON{source}: {e.msg}", line=e.lineno, col=e.colno) from None
+    except ValueError:
+        # json's int() refuses more than sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        at = next((m.start() for m in _JSON_STRING_OR_INT_RE.finditer(text) if len(m[1] or "") > limit), 0)
+        raise ParseError(f"invalid JSON{source}: a number has more than {limit} digits",
+                         line=text.count("\n", 0, at) + 1, col=at - text.rfind("\n", 0, at)) from None
+
 
 # The pattern gates Fraction, which alone would also take "1.5", "1e3" and
 # "1_000", and for an exponent such as "1e2000000" would spend time and
@@ -356,6 +377,8 @@ def parse_entry(s: str):
         return QuadRational(_fraction(m["a"] or "0"), _fraction(m["sign"] + (m["b"] or "1")))
     except ZeroDivisionError:
         raise ParseError(f"bad entry {s!r}: zero denominator") from None
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        raise ParseError(f"bad entry of {len(s)} characters: an integer in it has too many digits") from None
 
 
 def format_entry(x) -> str:
@@ -372,16 +395,15 @@ def format_entry(x) -> str:
 
 def parse_matrix_json(text: str) -> ExactMatrix:
     """Parse the exact matrix JSON format; returns RatMatrix or QuadMatrix."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno, col=e.colno) from None
+    obj = load_json(text)
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise ParseError('exact matrix JSON must be an object with "rows", "cols" and "entries"')
     rows, cols, grid = obj["rows"], obj["cols"], obj["entries"]
     # JSON true and false load as bool, a subclass of int
     if not (type(rows) is int and type(cols) is int):
         raise ParseError('"rows" and "cols" must be integers')
+    if rows != cols or rows < 1:
+        raise ParseError(f'"rows" and "cols" must be equal and at least 1, got {rows} and {cols}')
     if not isinstance(grid, list) or len(grid) != rows:
         raise ParseError(f'"entries" must be a list of {rows} rows')
     parsed = []
@@ -398,9 +420,9 @@ def parse_matrix_json(text: str) -> ExactMatrix:
                 raise ParseError(str(e), line=i + 1, col=j + 1) from None
             quad = quad or isinstance(v, QuadRational)
             parsed.append(v)
-    return (QuadMatrix if quad else RatMatrix)(rows, cols, tuple(parsed))
+    return (QuadMatrix if quad else RatMatrix)(rows, tuple(parsed))
 
 
 def matrix_to_jsonable(M: ExactMatrix) -> dict:
-    grid = [[format_entry(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
-    return {"rows": M.rows, "cols": M.cols, "entries": grid}
+    grid = [[format_entry(e) for e in M.row(i)] for i in range(M.n)]
+    return {"rows": M.n, "cols": M.n, "entries": grid}

@@ -132,8 +132,8 @@ def _chart_map(n: int) -> np.ndarray:
 def ortho_residual(Q: np.ndarray) -> float:
     """Max-norm of Q^T Q - I; inf when Q^T Q overflows."""
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("ortho_residual expects a square matrix")
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not Q.size:
+        raise ValueError("ortho_residual expects a square matrix of order at least 1")
     with np.errstate(over="ignore"):
         return float(np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0]))))
 
@@ -145,8 +145,8 @@ def reorthonormalize(M) -> np.ndarray:
     sign of the input.  Raises on singular input.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("reorthonormalize expects a square matrix")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise ValueError("reorthonormalize expects a square matrix of order at least 1")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
     U, s, Vt = np.linalg.svd(M)
@@ -160,7 +160,7 @@ def to_float(M) -> np.ndarray:
     nearest; a Q(sqrt2) entry is within about 2 ulp of its value, also where
     its two terms nearly cancel."""
     if isinstance(M, ExactMatrix):
-        return np.array([[float(M[i, j]) for j in range(M.cols)] for i in range(M.rows)])
+        return np.array([float(e) for e in M.entries]).reshape(M.n, M.n)
     return np.asarray(M, dtype=float)
 
 
@@ -529,7 +529,7 @@ def rational_certify(Q, denom_bound: int) -> Optional[RatMatrix]:
     if not np.all(np.isfinite(Q)):
         raise ValueError("matrix entries must be finite")
     n = Q.shape[0]
-    cand = RatMatrix(n, n, tuple(_best_rational(q, denom_bound) for q in Q.ravel().tolist()))
+    cand = RatMatrix(n, tuple(_best_rational(q, denom_bound) for q in Q.ravel().tolist()))
     if not is_orthogonal(cand):
         return None
     if sign_pattern_of(cand) != sign_pattern_of(Q):

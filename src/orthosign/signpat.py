@@ -7,6 +7,8 @@ combinatorial necessary condition (no pair of rows/columns may have a
 sign-forced nonzero dot product, no zero line), the one-parameter family with
 -1 on diagonal positions 2..n, and the symmetry group of the problem
 (row/column signed permutations plus transposition) with its orbits.
+SignPattern is an exact.SquareMatrix whose entries are checked to be signs:
+the shape (order, from_rows, row, indexing) is the exact matrices' own.
 
 The action is written once, as GroupElement.index_map: act, orbit_of and
 orbit_representatives all use it and the generators of _generators(n);
@@ -19,11 +21,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .exact import ExactMatrix, ParseError, sgn
+from .exact import ExactMatrix, ParseError, SquareMatrix, sgn
 
 _CHAR_OF_SIGN = {1: "+", -1: "-", 0: "0"}
 _SIGN_OF_CHAR = {"+": 1, "-": -1, "0": 0}
@@ -33,30 +35,22 @@ class UnsupportedOrderError(ValueError):
     """Raised when a brute-force operation is asked for an order it cannot do."""
 
 
-@dataclass(frozen=True)
-class SignPattern:
+_SIGNS = frozenset((-1, 0, 1))
+
+
+class SignPattern(SquareMatrix):
     """Square matrix of signs, row-major entries in {-1, 0, +1}."""
 
-    n: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("pattern order must be at least 1")
-        entries = tuple(self.entries)
-        if len(entries) != self.n * self.n:
-            raise ValueError(f"expected {self.n * self.n} entries, got {len(entries)}")
-        # check before int() so that 0.5 or 1.7 is an error, not a truncated 0 or 1
-        if any(e not in (-1, 0, 1) for e in entries):
+    def _convert(self, entries: tuple) -> tuple:
+        # check before int() so that 0.5 or 1.7 is an error, not a truncated 0
+        # or 1; an unhashable entry, such as a list, takes the comparisons of `in`
+        try:
+            signs = _SIGNS.issuperset(entries)
+        except TypeError:
+            signs = all(e in (-1, 0, 1) for e in entries)
+        if not signs:
             raise ValueError("pattern entries must be -1, 0 or +1")
-        object.__setattr__(self, "entries", tuple(int(e) for e in entries))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SignPattern":
-        rows = [tuple(r) for r in rows]
-        if any(len(r) != len(rows) for r in rows):
-            raise ValueError(f"pattern of order {len(rows)} needs rows of length {len(rows)}, got {[len(r) for r in rows]}")
-        return cls(len(rows), tuple(e for r in rows for e in r))
+        return tuple(map(int, entries))
 
     @classmethod
     def from_text(cls, text: str) -> "SignPattern":
@@ -76,16 +70,7 @@ class SignPattern:
         return cls(n, tuple(entries))
 
     def to_text(self) -> str:
-        return "\n".join(
-            "".join(_CHAR_OF_SIGN[self.entries[i * self.n + j]] for j in range(self.n)) for i in range(self.n)
-        )
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.entries[i * self.n + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.n : (i + 1) * self.n]
+        return "\n".join("".join(map(_CHAR_OF_SIGN.get, self.row(i))) for i in range(self.n))
 
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i * self.n + j] for i in range(self.n))
@@ -101,9 +86,7 @@ def sign_pattern_of(M) -> SignPattern:
     """Entrywise sign pattern of an exact or finite float square matrix; only
     an exact 0 (or -0.0) counts as zero."""
     if isinstance(M, ExactMatrix):
-        if M.rows != M.cols:
-            raise ValueError("sign pattern is defined for square matrices")
-        return SignPattern(M.rows, tuple(sgn(e) for e in M.entries))
+        return SignPattern(M.n, tuple(map(sgn, M.entries)))
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("sign pattern is defined for square matrices")
@@ -268,23 +251,20 @@ def _generators(n: int) -> list:
 
 def act(g: GroupElement, X):
     """Apply a symmetry to a SignPattern, an exact matrix or a float matrix,
-    through g.index_map."""
-    if isinstance(X, SignPattern):
+    through g.index_map; a pattern or an exact matrix keeps its type."""
+    if isinstance(X, SquareMatrix):
         n = X.n
-    elif isinstance(X, ExactMatrix):
-        n = X.rows if X.rows == X.cols else None
     else:
         X = np.asarray(X, dtype=float)
-        n = len(X) if X.ndim == 2 and X.shape[0] == X.shape[1] else None
-    if n is None:
-        raise ValueError("group acts on square matrices only")
+        if X.ndim != 2 or X.shape[0] != X.shape[1]:
+            raise ValueError("group acts on square matrices only")
+        n = len(X)
     if g.n != n:
         raise ValueError(f"group element of order {g.n} cannot act on order {n}")
     source, sign = g.index_map
     if isinstance(X, np.ndarray):
         return (X.reshape(-1)[list(source)] * np.array(sign)).reshape(n, n)
-    ent = tuple(X.entries[k] * s for k, s in zip(source, sign))
-    return SignPattern(n, ent) if isinstance(X, SignPattern) else type(X)(n, n, ent)
+    return type(X)(n, tuple(X.entries[k] * s for k, s in zip(source, sign)))
 
 
 _CANONICAL_MAX_ORDER = 4

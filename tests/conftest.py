@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from orthosign import get_fixture
@@ -31,3 +33,12 @@ def t3():
 @pytest.fixture(scope="session")
 def pstar():
     return get_fixture("pstar")
+
+
+@pytest.fixture()
+def int_digit_limit():
+    """Python's default cap on the digits int() reads, 4300, set for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)

@@ -165,7 +165,7 @@ def reference_necessary_check(S):
 
 
 def rational_matrix_to_grid(M):
-    return tuple(tuple(M[i, j] for j in range(M.cols)) for i in range(M.rows))
+    return tuple(M.row(i) for i in range(M.n))
 
 
 def grid_scale(grid, c):

@@ -234,9 +234,28 @@ def test_pattern_cites_all_zero_row(tmp_path, capsys):
 
 def test_verify_rejects_non_square_matrix(tmp_path, capsys):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(matrix_to_jsonable(RatMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))))
+    path.write_text('{"rows": 2, "cols": 3, "entries": [["1", "0", "0"], ["0", "1", "0"]]}')
     assert main(["verify", str(path)]) == 2
-    assert "verify expects a square matrix, got 2x3" in capsys.readouterr().err
+    assert '"rows" and "cols" must be equal and at least 1, got 2 and 3' in capsys.readouterr().err
+
+
+def test_non_square_exact_seed_file_exits_2(fixture_dir, tmp_path, capsys):
+    seeds = tmp_path / "s.json"
+    seeds.write_text('{"rows": 2, "cols": 3, "entries": [["1", "0", "0"], ["0", "1", "0"]]}')
+    assert main(["hunt", str(fixture_dir / "s3.pat"), "--seeds", str(seeds)]) == 2
+    assert '"rows" and "cols" must be equal' in capsys.readouterr().err
+
+
+def test_integers_beyond_the_digit_limit_exit_2(fixture_dir, tmp_path, capsys, int_digit_limit):
+    big = "1" + "0" * int_digit_limit
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 1, "cols": 1, "entries": [["%s"]]}' % big)
+    assert main(["verify", str(path)]) == 2
+    assert "too many digits (line 1, column 1)" in capsys.readouterr().err
+    path.write_text("[[1, 0],\n [0, %s]]" % big)
+    assert main(["hunt", str(fixture_dir / "s3.pat"), "--seeds", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid JSON in {path}: a number has more than {int_digit_limit} digits (line 2, column 6)" in err
 
 
 @pytest.mark.parametrize("where", ["file", "under file", "onto directory"])

@@ -24,7 +24,7 @@ from orthosign.exact import (
     sgn,
 )
 from orthosign.realize import to_float
-from orthosign.signpat import GroupElement, act, sign_pattern_of
+from orthosign.signpat import GroupElement, SignPattern, act, sign_pattern_of
 from oracles import (
     det_cofactor,
     exact_cayley,
@@ -138,9 +138,11 @@ def test_mat_mul_scaled_gram_of_q1(q1):
 
 
 def test_matrix_rejects_bad_shape():
-    for domain in (RatMatrix, QuadMatrix):
+    for domain in (RatMatrix, QuadMatrix, SignPattern):
+        with pytest.raises(ValueError, match="square"):
+            domain.from_rows([[1, 0, 0], [0, 1, 0]])
         with pytest.raises(ValueError):
-            domain(2, 2, (1, 2, 3))
+            domain(2, (1, 0, -1))
         with pytest.raises(ValueError):
             domain.from_rows([])
         with pytest.raises(ValueError):
@@ -151,9 +153,9 @@ def test_matrix_rejects_bad_shape():
 
 def test_rat_matrix_entries_are_fractions():
     third = Fraction(1, 3)
-    M = RatMatrix.from_rows([[third, 2, True]])
-    assert [type(e) for e in M.entries] == [Fraction] * 3
-    assert M.entries == (third, 2, 1)
+    M = RatMatrix.from_rows([[third, 2], [True, 0]])
+    assert [type(e) for e in M.entries] == [Fraction] * 4
+    assert M.entries == (third, 2, 1, 0)
     # a Fraction is kept as it is, not rebuilt, in either domain
     assert M.entries[0] is third
     x = QuadRational(third, 2)
@@ -163,8 +165,8 @@ def test_rat_matrix_entries_are_fractions():
 def test_operations_keep_domain_subclass():
     # the exact layer is traced per domain by the type name of the operand
     g = GroupElement((1, -1), (-1, 1), (1, 0), (0, 1), True)
-    for domain in (RatMatrix, QuadMatrix):
-        A = domain.from_rows([[1, 2], [3, 4]])
+    for domain in (RatMatrix, QuadMatrix, SignPattern):
+        A = domain.from_rows([[1, -1], [0, 1]])
         for M in (A, act(g, A)):
             assert type(M) is domain
 
@@ -468,11 +470,11 @@ def test_quad_entry_roundtrip(x):
 def test_str_renders_every_cell_in_the_entry_grammar(q1, r3):
     for M in (q1, r3):
         lines = str(M).splitlines()
-        assert len(lines) == M.rows
+        assert len(lines) == M.n
         for i, line in enumerate(lines):
             assert line.startswith("[") and line.endswith("]")
             cells = line[1:-1].split()
-            assert len(cells) == M.cols
+            assert len(cells) == M.n
             for j, cell in enumerate(cells):
                 assert parse_entry(cell) == M[i, j] == parse_entry(str(M[i, j]))
     assert str(r3[0, 0]) == "1/2*sqrt2"
@@ -491,6 +493,26 @@ def test_parse_matrix_json_reports_location():
     assert exc.value.col == 2
 
 
+def test_parse_matrix_json_rejects_non_square_and_empty_shapes():
+    with pytest.raises(ParseError, match='"rows" and "cols" must be equal and at least 1, got 2 and 3'):
+        parse_matrix_json('{"rows": 2, "cols": 3, "entries": [["1", "0", "0"], ["0", "1", "0"]]}')
+    with pytest.raises(ParseError, match="got 0 and 0"):
+        parse_matrix_json('{"rows": 0, "cols": 0, "entries": []}')
+
+
+def test_parse_reports_integers_beyond_the_digit_limit(int_digit_limit):
+    big = "1" + "0" * int_digit_limit
+    with pytest.raises(ParseError, match="an integer in it has too many digits") as exc:
+        parse_matrix_json('{"rows": 2, "cols": 2,\n "entries": [["1", "0"],\n  ["0", "%s"]]}' % big)
+    assert (exc.value.line, exc.value.col) == (2, 2)
+    with pytest.raises(ParseError, match=f"a number has more than {int_digit_limit} digits") as exc:
+        parse_matrix_json('{"entries": [["1%s"]],\n "rows": 1, "cols": -%s}' % (big, big))
+    assert (exc.value.line, exc.value.col) == (2, 21)
+    with pytest.raises(ParseError, match=r"bad entry of \d+ characters") as exc:
+        parse_entry(f"1/{big}")
+    assert exc.value.line is None
+
+
 def test_parse_matrix_json_rejects_bad_shape():
     with pytest.raises(ParseError):
         parse_matrix_json('{"rows": 2, "cols": 2, "entries": [["1", "0"]]}')
@@ -501,6 +523,6 @@ def test_parse_matrix_json_rejects_bad_shape():
     with pytest.raises(ParseError, match='"rows" and "cols" must be integers'):
         parse_matrix_json('{"rows": true, "cols": true, "entries": [["1"]]}')
     with pytest.raises(ParseError, match="row 2 must be a list"):
-        parse_matrix_json('{"rows": 2, "cols": 1, "entries": [["1"], "0"]}')
+        parse_matrix_json('{"rows": 2, "cols": 2, "entries": [["1", "0"], "0"]}')
     with pytest.raises(ParseError, match="entry must be a string, got int"):
-        parse_matrix_json('{"rows": 1, "cols": 2, "entries": [["1", 0]]}')
+        parse_matrix_json('{"rows": 2, "cols": 2, "entries": [["1", 0], ["0", "1"]]}')

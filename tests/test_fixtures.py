@@ -28,14 +28,14 @@ def test_unknown_fixture():
 
 def test_q1_entries(q1):
     assert isinstance(q1, RatMatrix)
-    assert (q1.rows, q1.cols) == (7, 7)
+    assert q1.n == 7
     assert q1[0, 0] == Fraction(5, 8)
     assert q1[0, 3] == Fraction(-3, 8)
     assert q1[6, 6] == Fraction(5, 8)
 
 
 def test_q2_entries(q2):
-    assert (q2.rows, q2.cols) == (7, 7)
+    assert q2.n == 7
     assert q2[0, 0] == Fraction(9389, 20014)
     # stored canonically: 396/20014 reduces
     assert q2[0, 1] == Fraction(198, 10007)

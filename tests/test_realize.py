@@ -169,16 +169,17 @@ def test_reorthonormalize_idempotent(q2):
 def test_reorthonormalize_rejects_singular():
     with pytest.raises(ValueError):
         reorthonormalize(np.ones((3, 3)))
-    with pytest.raises(ValueError, match="square"):
-        reorthonormalize(np.ones((3, 2)))
+    for bad in (np.ones((3, 2)), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="square"):
+            reorthonormalize(bad)
     with pytest.raises(ValueError, match="finite"):
         reorthonormalize(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 def test_ortho_residual_rejects_non_square_input():
-    # a vector and a 3 x 2 matrix are errors, not a residual or a numpy
-    # broadcast failure
-    for bad in (np.array([1.0, 0.0]), np.ones((3, 2))):
+    # a vector, a 3 x 2 and a 0 x 0 matrix are errors, not a residual or a
+    # numpy broadcast or zero-size failure
+    for bad in (np.array([1.0, 0.0]), np.ones((3, 2)), np.zeros((0, 0))):
         with pytest.raises(ValueError, match="expects a square matrix"):
             ortho_residual(bad)
 
