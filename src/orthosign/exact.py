@@ -2,9 +2,10 @@
 
 Everything in this module is integer/fraction arithmetic: no float is
 trusted anywhere, and one is made only where a caller asks for float(x).
-Every matrix is square by construction: SquareMatrix(n, entries) owns the
-shape, for sign patterns and exact matrices alike, and a subclass only
-converts its entries.  The one exact-matrix type, ExactMatrix, comes in two
+Every matrix is square by construction: the base class SquareMatrix(n,
+entries) owns the shape, for sign patterns and exact matrices alike, and a
+subclass only converts its entries; SignPattern, RatMatrix and QuadMatrix
+are the ones built.  The one exact-matrix type, ExactMatrix, comes in two
 scalar domains: RatMatrix over Q and QuadMatrix over Q(sqrt2); an entry
 that is already a Fraction is kept, not rebuilt.  sgn is the one sign
 function for exact scalars.
@@ -149,7 +150,8 @@ class QuadRational:
 @dataclass(frozen=True)
 class SquareMatrix:
     """Dense immutable n x n matrix, row-major entries: the one shape of the
-    package.  A subclass only converts its entries, in _convert."""
+    package.  A base only: a subclass converts its entries, in _convert, and
+    SignPattern, RatMatrix and QuadMatrix are the ones built."""
 
     n: int
     entries: tuple
@@ -325,13 +327,20 @@ _JSON_STRING_OR_INT_RE = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![\d.eE+-])-?(\d+)(?!
 
 def load_json(text: str, source: str = ""):
     """json.loads, with every failure a ParseError that has a location;
-    source names the input in the message, as in " in seeds.json"."""
+    source names the input in the message, as in " in seeds.json".
+
+    json's scanner gives no location for a number over Python's int() digit
+    cap, so _JSON_STRING_OR_INT_RE finds it; the text is valid JSON up to
+    that number, and the pattern need only skip strings and tell integers
+    from the digits of fractions and exponents."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON{source}: {e.msg}", line=e.lineno, col=e.colno) from None
     except ValueError:
-        # json's int() refuses more than sys.get_int_max_str_digits() digits
+        # json's int() refuses more than sys.get_int_max_str_digits() digits;
+        # Python before 3.10.7 has no cap, and no ValueError that is not a
+        # JSONDecodeError reaches here
         limit = sys.get_int_max_str_digits()
         at = next((m.start() for m in _JSON_STRING_OR_INT_RE.finditer(text) if len(m[1] or "") > limit), 0)
         raise ParseError(f"invalid JSON{source}: a number has more than {limit} digits",

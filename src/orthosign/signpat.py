@@ -35,20 +35,12 @@ class UnsupportedOrderError(ValueError):
     """Raised when a brute-force operation is asked for an order it cannot do."""
 
 
-_SIGNS = frozenset((-1, 0, 1))
-
-
 class SignPattern(SquareMatrix):
     """Square matrix of signs, row-major entries in {-1, 0, +1}."""
 
     def _convert(self, entries: tuple) -> tuple:
-        # check before int() so that 0.5 or 1.7 is an error, not a truncated 0
-        # or 1; an unhashable entry, such as a list, takes the comparisons of `in`
-        try:
-            signs = _SIGNS.issuperset(entries)
-        except TypeError:
-            signs = all(e in (-1, 0, 1) for e in entries)
-        if not signs:
+        # check before int() so that 0.5 or 1.7 is an error, not a truncated 0 or 1
+        if not all(map((-1, 0, 1).__contains__, entries)):
             raise ValueError("pattern entries must be -1, 0 or +1")
         return tuple(map(int, entries))
 

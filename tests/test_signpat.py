@@ -88,7 +88,7 @@ sign_candidates = st.one_of(
 
 @given(st.lists(sign_candidates, min_size=4, max_size=4))
 def test_pattern_entry_check_matches_the_comparison_rule(entries):
-    # the set test accepts, rejects and converts exactly as the reference
+    # the entry check accepts, rejects and converts exactly as the reference
     try:
         want = comparison_sign_rule(entries)
     except ValueError:
