@@ -39,7 +39,6 @@ from .realize import (
     reorthonormalize,
     search_many,
     search_realization,
-    to_float,
 )
 from .signpat import (
     GroupElement,
@@ -53,6 +52,7 @@ from .signpat import (
     orbit_representatives,
     pair_compatible,
     sign_pattern_of,
+    to_float,
     waters_forced_sign,
     waters_pattern,
 )

@@ -22,8 +22,8 @@ import numpy as np
 from . import fixtures as fixture_catalog
 from .exact import ParseError, det_sign, is_orthogonal, load_json, parse_matrix_json
 from .hunt import CensusAmbiguityError, census, census_default_config, classify_det_sign
-from .realize import SearchConfig, search_realization, to_float
-from .signpat import SignPattern, UnsupportedOrderError, necessary_check, sign_pattern_of
+from .realize import SearchConfig, search_realization
+from .signpat import SignPattern, UnsupportedOrderError, necessary_check, sign_pattern_of, to_float
 
 
 def render_json(obj) -> str:
@@ -54,14 +54,11 @@ def load_float_matrix(path: str) -> np.ndarray:
             isinstance(obj, list) and obj and all(isinstance(row, list) and len(row) == len(obj)
                                                   and all(type(v) in (int, float) for v in row) for row in obj)):
         raise ParseError(f"float matrix in {path} must be a square nested array of numbers")
-    finite_error = f"float matrix in {path} has non-finite entries"
+    M = parse_matrix_json(text) if isinstance(obj, dict) else obj
     try:
-        arr = to_float(parse_matrix_json(text)) if isinstance(obj, dict) else np.asarray(obj, dtype=float)
-    except OverflowError:  # an entry beyond the float range
-        raise ParseError(finite_error) from None
-    if not np.all(np.isfinite(arr)):
-        raise ParseError(finite_error)
-    return arr
+        return to_float(M)
+    except (ValueError, OverflowError):  # the shape is checked: an entry is inf, NaN or too large
+        raise ParseError(f"float matrix in {path} has non-finite entries") from None
 
 
 def _config_from_args(args) -> SearchConfig:

@@ -91,10 +91,11 @@ def classify_det_sign(S: SignPattern, cfg: Optional[SearchConfig] = None, seeds=
     land); each side is +1 or -1, and no side means polish the seeds only.
     The sides still open after polishing are hunted in one lock-step batch,
     and cfg.time_budget bounds the whole call.  seeds may be any iterable of
-    matrices, such as a (k, n, n) array.
+    matrices, such as a (k, n, n) array, and sides any iterable of signs.
     """
+    sides = tuple(sides)  # read once: a generator would be spent by the check
     if any(side not in (1, -1) for side in sides):
-        raise ValueError(f"sides must be +1 or -1, got {tuple(sides)!r}")
+        raise ValueError(f"sides must be +1 or -1, got {sides!r}")
     cfg = cfg or SearchConfig()
     start = time.monotonic()
     results = {1: None, -1: None}

@@ -42,6 +42,9 @@ array, which passes that test exactly.
 A numerical find can be promoted to a certificate: every entry is replaced by
 its best rational approximation with bounded denominator and the result is
 re-verified with exact arithmetic.
+
+Every float input (of ortho_residual, reorthonormalize, rational_certify,
+refine_from's seed) goes through signpat.to_float, the one float boundary.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .exact import ExactMatrix, RatMatrix, is_orthogonal, matrix_to_jsonable
-from .signpat import SignPattern, necessary_check, perm_sign, sign_pattern_of
+from .exact import RatMatrix, is_orthogonal, matrix_to_jsonable
+from .signpat import SignPattern, necessary_check, perm_sign, sign_pattern_of, to_float
 
 TARGET_ANY = "any"
 Target = Union[int, str]
@@ -70,11 +73,14 @@ def _normalize_target(target: Target):
 
 
 def _denom_bound(bound) -> int:
-    """The bound as a Python int (a numpy integer too), else a TypeError."""
+    """The bound as a Python int (a numpy integer too), at least 1."""
     try:
-        return operator.index(bound)
+        bound = operator.index(bound)
     except TypeError:
         raise TypeError(f"denom_bound must be an integer, got {type(bound).__name__}") from None
+    if bound < 1:
+        raise ValueError("denom_bound must be at least 1")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -113,8 +119,6 @@ class SearchConfig:
             raise ValueError("time_budget must be nonnegative")
         if self.denom_bound is not None:
             object.__setattr__(self, "denom_bound", _denom_bound(self.denom_bound))
-            if self.denom_bound < 1:
-                raise ValueError("denom_bound must be at least 1")
 
 
 def _chart_map(n: int) -> np.ndarray:
@@ -131,11 +135,9 @@ def _chart_map(n: int) -> np.ndarray:
 
 def ortho_residual(Q: np.ndarray) -> float:
     """Max-norm of Q^T Q - I; inf when Q^T Q overflows."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or not Q.size:
-        raise ValueError("ortho_residual expects a square matrix of order at least 1")
+    Q = to_float(Q)
     with np.errstate(over="ignore"):
-        return float(np.max(np.abs(Q.T @ Q - np.eye(Q.shape[0]))))
+        return float(np.max(np.abs(Q.T @ Q - np.eye(len(Q)))))
 
 
 def reorthonormalize(M) -> np.ndarray:
@@ -144,33 +146,14 @@ def reorthonormalize(M) -> np.ndarray:
     Idempotent on orthogonal inputs up to roundoff; preserves the determinant
     sign of the input.  Raises on singular input.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
-        raise ValueError("reorthonormalize expects a square matrix of order at least 1")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    U, s, Vt = np.linalg.svd(M)
-    if s[-1] <= s[0] * M.shape[0] * np.finfo(float).eps:
+    U, s, Vt = np.linalg.svd(to_float(M))
+    if s[-1] <= s[0] * len(s) * np.finfo(float).eps:
         raise ValueError("degenerate input: matrix is singular to working precision")
     return U @ Vt
 
 
-def to_float(M) -> np.ndarray:
-    """Float image of an exact matrix: a rational entry is rounded once, to
-    nearest; a Q(sqrt2) entry is within about 2 ulp of its value, also where
-    its two terms nearly cancel."""
-    if isinstance(M, ExactMatrix):
-        return np.array([float(e) for e in M.entries]).reshape(M.n, M.n)
-    return np.asarray(M, dtype=float)
-
-
 def float_det_sign(Q: np.ndarray) -> int:
-    sign, _ = np.linalg.slogdet(np.asarray(Q, dtype=float))
-    return int(sign)
-
-
-def _signs(S: SignPattern) -> np.ndarray:
-    return np.array(S.entries, dtype=float).reshape(S.n, S.n)
+    return int(np.linalg.slogdet(Q)[0])
 
 
 def _penalty_terms(sarr: np.ndarray, margin: float, Q: np.ndarray):
@@ -425,7 +408,7 @@ def search_many(problems, cfg: Optional[SearchConfig] = None) -> list:
         det_target = _normalize_target(target)
         if not necessary_check(S).passed:
             continue
-        sarr = _signs(S)
+        sarr = to_float(S)
         for r in range(cfg.restarts):
             rng = np.random.default_rng([cfg.rng_seed, r])
             side = det_target if det_target is not None else int(rng.choice((-1, 1)))
@@ -440,7 +423,7 @@ def search_many(problems, cfg: Optional[SearchConfig] = None) -> list:
     for batch in rows.values():
         # a descent find comes from a lower restart than a base find
         found.update(_lockstep_descent(batch, cfg, deadline))
-    return [_assemble(_signs(S), cfg, *found[p]) if p in found else None for p, (S, _) in enumerate(problems)]
+    return [_assemble(to_float(S), cfg, *found[p]) if p in found else None for p, (S, _) in enumerate(problems)]
 
 
 def search_realization(S: SignPattern, target: Target, cfg: Optional[SearchConfig] = None) -> Optional[RealizationResult]:
@@ -468,15 +451,15 @@ def refine_from(Q0, S: SignPattern, target: Target, cfg: Optional[SearchConfig] 
     """
     cfg = cfg or SearchConfig()
     det_target = _normalize_target(target)
-    Q0 = np.asarray(Q0, dtype=float)
-    if Q0.shape != (S.n, S.n):
-        raise ValueError(f"seed shape {Q0.shape} does not match pattern order {S.n}")
+    Q0 = to_float(Q0)
+    if len(Q0) != S.n:
+        raise ValueError(f"seed order {len(Q0)} does not match pattern order {S.n}")
     if ortho_residual(Q0) > 0.5:
         raise ValueError("seed is too far from orthogonal (residual > 0.5)")
     base = reorthonormalize(Q0)
     if det_target is not None and float_det_sign(base) != det_target:
         return None
-    sarr = _signs(S)
+    sarr = to_float(S)
     found = _lockstep_descent([(sarr, 0, 0, base, np.zeros(S.n * (S.n - 1) // 2))], cfg, _deadline(cfg))
     return _assemble(sarr, cfg, *found[0]) if found else None
 
@@ -518,18 +501,11 @@ def rational_certify(Q, denom_bound: int) -> Optional[RatMatrix]:
     on Python ints by _best_rational (the same value as
     Fraction.limit_denominator); the candidate must then pass the exact
     orthogonality check and reproduce the float sign pattern, else None.
-    denom_bound is an int or a numpy integer.
+    denom_bound is an int or a numpy integer, at least 1.
     """
     denom_bound = _denom_bound(denom_bound)
-    if denom_bound < 1:
-        raise ValueError("denominator bound must be at least 1")
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("certification expects a square matrix")
-    if not np.all(np.isfinite(Q)):
-        raise ValueError("matrix entries must be finite")
-    n = Q.shape[0]
-    cand = RatMatrix(n, tuple(_best_rational(q, denom_bound) for q in Q.ravel().tolist()))
+    Q = to_float(Q)
+    cand = RatMatrix(len(Q), tuple(_best_rational(q, denom_bound) for q in Q.ravel().tolist()))
     if not is_orthogonal(cand):
         return None
     if sign_pattern_of(cand) != sign_pattern_of(Q):

@@ -9,6 +9,8 @@ sign-forced nonzero dot product, no zero line), the one-parameter family with
 (row/column signed permutations plus transposition) with its orbits.
 SignPattern is an exact.SquareMatrix whose entries are checked to be signs:
 the shape (order, from_rows, row, indexing) is the exact matrices' own.
+to_float is the package's one float boundary: only it checks that a float
+matrix is square, of order at least 1, with finite entries.
 
 The action is written once, as GroupElement.index_map: act, orbit_of and
 orbit_representatives all use it and the generators of _generators(n);
@@ -74,16 +76,28 @@ class SignPattern(SquareMatrix):
         return self.to_text()
 
 
+def to_float(M) -> np.ndarray:
+    """The one float boundary: M as a square float array of order >= 1 with
+    finite entries, else a ValueError.  A SquareMatrix (pattern or exact
+    matrix) converts entry by entry: a rational entry is rounded once, to
+    nearest; a Q(sqrt2) entry lands within about 2 ulp, also where its two
+    terms nearly cancel; an entry beyond the float range is an OverflowError."""
+    if isinstance(M, SquareMatrix):
+        M = np.array(M.entries, dtype=float).reshape(M.n, M.n)
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise ValueError(f"expected a square matrix of order at least 1, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix entries must be finite")
+    return M
+
+
 def sign_pattern_of(M) -> SignPattern:
-    """Entrywise sign pattern of an exact or finite float square matrix; only
-    an exact 0 (or -0.0) counts as zero."""
+    """Entrywise sign pattern of an exact matrix, or of a float matrix read
+    through to_float; only an exact 0 (or -0.0) counts as zero."""
     if isinstance(M, ExactMatrix):
         return SignPattern(M.n, tuple(map(sgn, M.entries)))
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("sign pattern is defined for square matrices")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
+    M = to_float(M)
     return SignPattern(len(M), np.sign(M).astype(int).ravel().tolist())
 
 
@@ -148,8 +162,6 @@ def waters_pattern(n: int) -> SignPattern:
     Every orthogonal matrix with this pattern has determinant (-1)**(n-1);
     see waters_forced_sign.
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
     return SignPattern(n, tuple(-1 if (i == j and i > 0) else 1 for i in range(n) for j in range(n)))
 
 
@@ -242,14 +254,12 @@ def _generators(n: int) -> list:
 
 
 def act(g: GroupElement, X):
-    """Apply a symmetry to a SignPattern, an exact matrix or a float matrix,
-    through g.index_map; a pattern or an exact matrix keeps its type."""
+    """Apply a symmetry through g.index_map to a SignPattern, an exact matrix
+    or a float matrix, read by to_float; a pattern or an exact matrix keeps its type."""
     if isinstance(X, SquareMatrix):
         n = X.n
     else:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] != X.shape[1]:
-            raise ValueError("group acts on square matrices only")
+        X = to_float(X)
         n = len(X)
     if g.n != n:
         raise ValueError(f"group element of order {g.n} cannot act on order {n}")

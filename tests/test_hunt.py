@@ -43,6 +43,15 @@ def test_classify_sides_are_plus_or_minus_one(pstar, q1):
     assert ev.budgets["plus"]["restarts"] == ev.budgets["minus"]["restarts"] == 0
 
 
+def test_classify_sides_may_be_any_iterable(s3):
+    # a generator of sides is read once, not spent by the check of its values
+    cfg = SearchConfig(restarts=4, max_iters=250, rng_seed=3)
+    want = classify_det_sign(s3, cfg, sides=(1, -1)).to_json_dict()
+    assert (want["budgets"]["plus"]["restarts"], want["budgets"]["minus"]["restarts"]) != (0, 0)
+    for sides in ((side for side in (1, -1)), np.array([1, -1])):
+        assert classify_det_sign(s3, cfg, sides=sides).to_json_dict() == want
+
+
 def test_classify_waters_3_unseeded():
     ev = classify_det_sign(waters_pattern(3), SearchConfig(rng_seed=9))
     assert ev.verdict == ONLY_PLUS_FOUND

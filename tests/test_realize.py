@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from orthosign.exact import RatMatrix
+from orthosign.exact import QuadMatrix, QuadRational, RatMatrix
 from orthosign.fixtures import get_fixture
 from orthosign.realize import (
     SearchConfig,
@@ -26,6 +26,7 @@ from orthosign.realize import (
 )
 from orthosign.signpat import (
     SignPattern,
+    act,
     necessary_check,
     orbit_representatives,
     sign_pattern_of,
@@ -37,6 +38,7 @@ from oracles import (
     chart_q,
     chart_value_grad,
     exact_cayley_q,
+    identity_element,
     perturb,
     reference_accept,
     reference_refine_from,
@@ -180,8 +182,52 @@ def test_ortho_residual_rejects_non_square_input():
     # a vector, a 3 x 2 and a 0 x 0 matrix are errors, not a residual or a
     # numpy broadcast or zero-size failure
     for bad in (np.array([1.0, 0.0]), np.ones((3, 2)), np.zeros((0, 0))):
-        with pytest.raises(ValueError, match="expects a square matrix"):
+        with pytest.raises(ValueError, match="expected a square matrix"):
             ortho_residual(bad)
+
+
+# -- the float boundary ---------------------------------------------------------
+
+_SHAPE = "expected a square matrix of order at least 1, got shape"
+_FINITE = "matrix entries must be finite"
+
+
+def _eye_with(v):
+    M = np.eye(2)
+    M[0, 1] = v
+    return M
+
+
+FLOAT_ENTRY_POINTS = {
+    "to_float": to_float,
+    "ortho_residual": ortho_residual,
+    "reorthonormalize": reorthonormalize,
+    "rational_certify": lambda M: rational_certify(M, 5),
+    "refine_from": lambda M: refine_from(M, waters_pattern(2), "any"),
+    "sign_pattern_of": sign_pattern_of,
+    "act": lambda M: act(identity_element(2), M),
+}
+BAD_FLOAT_INPUTS = {
+    "vector": (np.array([1.0, 0.0]), _SHAPE),
+    "3x2": (np.ones((3, 2)), _SHAPE),
+    "0x0": (np.zeros((0, 0)), _SHAPE),
+    # NaN gets past any residual gate such as refine_from's, since nan > 0.5 is false
+    "nan": (_eye_with(np.nan), _FINITE),
+    "+inf": (_eye_with(np.inf), _FINITE),
+    "-inf": (_eye_with(-np.inf), _FINITE),
+    # a finite exact entry whose float image, float(a) + float(b) * sqrt2, is inf
+    "exact-overflow": (QuadMatrix(1, (QuadRational(10**308, 10**308),)), _FINITE),
+}
+
+
+# sign_pattern_of and act read an exact matrix exactly, with no float image
+@pytest.mark.parametrize("entry, bad", [
+    (e, b) for e in FLOAT_ENTRY_POINTS for b in BAD_FLOAT_INPUTS
+    if not (b == "exact-overflow" and e in ("sign_pattern_of", "act"))])
+def test_float_boundary_refuses_bad_matrices(entry, bad):
+    M, message = BAD_FLOAT_INPUTS[bad]
+    with pytest.raises(ValueError, match=message):
+        FLOAT_ENTRY_POINTS[entry](M)
 
 
 # -- search ---------------------------------------------------------------------
@@ -441,7 +487,7 @@ def test_refine_rejects_far_from_orthogonal(pstar):
         refine_from(np.ones((7, 7)), pstar, "any", SearchConfig())
     with pytest.raises(ValueError, match="too far from orthogonal"):
         refine_from(np.full((7, 7), 1e200), pstar, "any", SearchConfig())
-    with pytest.raises(ValueError, match="does not match pattern order"):
+    with pytest.raises(ValueError, match="seed order 3 does not match pattern order 7"):
         refine_from(np.eye(3), pstar, "any", SearchConfig())
 
 

@@ -263,7 +263,7 @@ def test_group_element_validation():
 def test_action_size_mismatch(pstar):
     with pytest.raises(ValueError):
         act(identity_element(3), pstar)
-    with pytest.raises(ValueError, match="square matrices only"):
+    with pytest.raises(ValueError, match="expected a square matrix"):
         act(identity_element(2), np.ones((2, 3)))
 
 
