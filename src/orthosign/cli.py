@@ -54,7 +54,10 @@ def load_float_matrix(path: str) -> np.ndarray:
             isinstance(obj, list) and obj and all(isinstance(row, list) and len(row) == len(obj)
                                                   and all(type(v) in (int, float) for v in row) for row in obj)):
         raise ParseError(f"float matrix in {path} must be a square nested array of numbers")
-    M = parse_matrix_json(text) if isinstance(obj, dict) else obj
+    try:
+        M = parse_matrix_json(text) if isinstance(obj, dict) else obj
+    except ParseError as e:  # an exact-format seed: name its file
+        raise ParseError(f"float matrix in {path}: {e}") from None
     try:
         return to_float(M)
     except (ValueError, OverflowError):  # the shape is checked: an entry is inf, NaN or too large

@@ -10,17 +10,17 @@ scalar domains: RatMatrix over Q and QuadMatrix over Q(sqrt2); an entry
 that is already a Fraction is kept, not rebuilt.  sgn is the one sign
 function for exact scalars.
 
-The two checks run on scaled integers: _scaled multiplies entries by their
-least common denominator, which turns rationals into Python ints and
-elements of Q(sqrt2) into pairs p + q*sqrt2 of the ring Z[sqrt2] (_Z2), and
-no Fraction or QuadRational arithmetic runs inside their loops.
-Orthogonality is decided column pair by column pair on D*A, D one
-denominator for the whole matrix: the dot product of columns i <= j must be
-D^2 when i = j and 0 otherwise, and the first pair that misses decides; no
-Gram matrix is built.  Determinants clear each row's denominators, run
-fraction-free (Bareiss) elimination in the ring, the same code for both
-domains, and divide the product of the row scales back out.  Entry strings
-follow one grammar, the pattern _ENTRY_RE.
+The two checks read one scaled matrix, and _scaled alone computes it:
+D*A, D the least common denominator of all of A's entries, which turns
+rationals into Python ints and elements of Q(sqrt2) into pairs p + q*sqrt2
+of the ring Z[sqrt2] (_Z2), and no Fraction or QuadRational arithmetic runs
+inside their loops.  Orthogonality is decided column pair by column pair on
+D*A: the dot product of columns i <= j must be D^2 when i = j and 0
+otherwise, and the first pair that misses decides; no Gram matrix is built.
+The determinant runs fraction-free (Bareiss) elimination on D*A in the
+ring, the same code for both domains, and divides by D^n, since
+det(A) = det(D*A)/D^n.  Entry strings follow one grammar, the pattern
+_ENTRY_RE.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ class _Z2:
 
     __slots__ = ("p", "q")
 
-    def __init__(self, p: int, q: int):
+    def __init__(self, p: int, q: int = 0):
         self.p = p
         self.q = q
 
@@ -241,18 +241,16 @@ class _Z2:
         return _Z2((self.p * o.p - 2 * self.q * o.q) // n, (self.q * o.p - self.p * o.q) // n)
 
 
-def _scaled(entries: Sequence) -> tuple[list, int]:
-    """(entries times m, m), m the least common denominator of the entries.
-
-    Rationals become ints, Q(sqrt2) elements _Z2 pairs; entries are all of
-    one matrix's domain.
-    """
-    if isinstance(entries[0], QuadRational):
-        m = lcm(*(x.denominator for e in entries for x in (e.a, e.b)))
-        return [_Z2(e.a.numerator * (m // e.a.denominator), e.b.numerator * (m // e.b.denominator))
-                for e in entries], m
-    m = lcm(*(e.denominator for e in entries))
-    return [e.numerator * (m // e.denominator) for e in entries], m
+def _scaled(A: ExactMatrix) -> tuple[list, int, type]:
+    """(D*A row-major, D, ring), D the least common denominator of A's
+    entries; ring maps an int into the ring the entries land in: int over Q,
+    _Z2 over Q(sqrt2)."""
+    if isinstance(A, QuadMatrix):
+        d = lcm(*(x.denominator for e in A.entries for x in (e.a, e.b)))
+        return [_Z2(e.a.numerator * (d // e.a.denominator), e.b.numerator * (d // e.b.denominator))
+                for e in A.entries], d, _Z2
+    d = lcm(*(e.denominator for e in A.entries))
+    return [e.numerator * (d // e.denominator) for e in A.entries], d, int
 
 
 def _det_bareiss(a: list[list], zero, one):
@@ -284,16 +282,12 @@ def _det_bareiss(a: list[list], zero, one):
 
 def det(A: ExactMatrix):
     """Exact determinant (Fraction or QuadRational)."""
-    # clear denominators row by row, eliminate in the ring, divide back
-    scale = 1
-    cleared = []
-    for i in range(A.n):
-        row, m = _scaled(A.row(i))
-        scale *= m
-        cleared.append(row)
-    quad = isinstance(A, QuadMatrix)
-    d = _det_bareiss(cleared, *((_Z2(0, 0), _Z2(1, 0)) if quad else (0, 1)))
-    return QuadRational(Fraction(d.p, scale), Fraction(d.q, scale)) if quad else Fraction(d, scale)
+    # eliminate D*A in the ring, divide by D^n
+    n = A.n
+    flat, d, ring = _scaled(A)
+    x = _det_bareiss([flat[i * n : (i + 1) * n] for i in range(n)], ring(0), ring(1))
+    scale = d**n
+    return QuadRational(Fraction(x.p, scale), Fraction(x.q, scale)) if isinstance(A, QuadMatrix) else Fraction(x, scale)
 
 
 def det_sign(A: ExactMatrix) -> int:
@@ -307,8 +301,8 @@ def is_orthogonal(A: ExactMatrix) -> bool:
     product of columns i <= j of B must be D^2 if i = j and 0 if not.
     Returns False at the first pair that misses, in either domain."""
     n = A.n
-    flat, d = _scaled(A.entries)
-    zero, norm = (_Z2(0, 0), _Z2(d * d, 0)) if isinstance(A, QuadMatrix) else (0, d * d)
+    flat, d, ring = _scaled(A)
+    zero, norm = ring(0), ring(d * d)
     cols = [flat[j::n] for j in range(n)]
     return all(
         sum(map(operator.mul, cols[i], cols[j]), zero) == (norm if i == j else zero)

@@ -42,8 +42,18 @@ class DetSignEvidence:
     pattern: SignPattern
     plus_result: Optional[RealizationResult]
     minus_result: Optional[RealizationResult]
-    verdict: str
     budgets: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> str:
+        """Read off the two results, so it cannot disagree with them."""
+        if self.plus_result is not None and self.minus_result is not None:
+            return AMBIGUOUS_FOUND
+        if self.plus_result is not None:
+            return ONLY_PLUS_FOUND
+        if self.minus_result is not None:
+            return ONLY_MINUS_FOUND
+        return NONE_FOUND
 
     def to_json_dict(self) -> dict:
         return {
@@ -53,16 +63,6 @@ class DetSignEvidence:
             "minus": None if self.minus_result is None else self.minus_result.to_json_dict(),
             "budgets": self.budgets,
         }
-
-
-def _verdict(plus, minus) -> str:
-    if plus is not None and minus is not None:
-        return AMBIGUOUS_FOUND
-    if plus is not None:
-        return ONLY_PLUS_FOUND
-    if minus is not None:
-        return ONLY_MINUS_FOUND
-    return NONE_FOUND
 
 
 def _remaining(cfg: SearchConfig, start: float) -> SearchConfig:
@@ -78,7 +78,7 @@ def _evidence(S: SignPattern, results: dict, hunted, cfg: SearchConfig, seeds_po
         res = results[side]
         restarts = 0 if side not in hunted else cfg.restarts if res is None else res.restart_index + 1
         budgets[key] = {"restarts": restarts, "max_iters": cfg.max_iters}
-    return DetSignEvidence(S, results[1], results[-1], _verdict(results[1], results[-1]), budgets)
+    return DetSignEvidence(S, results[1], results[-1], budgets)
 
 
 def classify_det_sign(S: SignPattern, cfg: Optional[SearchConfig] = None, seeds=None,

@@ -72,15 +72,16 @@ def _normalize_target(target: Target):
     raise ValueError(f"determinant target must be +1, -1 or 'any', got {target!r}")
 
 
-def _denom_bound(bound) -> int:
-    """The bound as a Python int (a numpy integer too), at least 1."""
+def _integer(name: str, value, least: int) -> int:
+    """value as a Python int (a numpy integer too); name's message refuses
+    any other type, or a value below least."""
     try:
-        bound = operator.index(bound)
+        value = operator.index(value)
     except TypeError:
-        raise TypeError(f"denom_bound must be an integer, got {type(bound).__name__}") from None
-    if bound < 1:
-        raise ValueError("denom_bound must be at least 1")
-    return bound
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if value < least:
+        raise ValueError(f"{name} must be " + ("nonnegative" if least == 0 else f"at least {least}"))
+    return value
 
 
 @dataclass(frozen=True)
@@ -113,12 +114,11 @@ class SearchConfig:
             raise ValueError("margin must lie in (0, 1)")
         # restarts=0 is valid (polish given seeds only), and so is time_budget=0
         for name in ("restarts", "max_iters", "rng_seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 0))
         if self.time_budget is not None and not (self.time_budget >= 0):
             raise ValueError("time_budget must be nonnegative")
         if self.denom_bound is not None:
-            object.__setattr__(self, "denom_bound", _denom_bound(self.denom_bound))
+            object.__setattr__(self, "denom_bound", _integer("denom_bound", self.denom_bound, 1))
 
 
 def _chart_map(n: int) -> np.ndarray:
@@ -503,7 +503,7 @@ def rational_certify(Q, denom_bound: int) -> Optional[RatMatrix]:
     orthogonality check and reproduce the float sign pattern, else None.
     denom_bound is an int or a numpy integer, at least 1.
     """
-    denom_bound = _denom_bound(denom_bound)
+    denom_bound = _integer("denom_bound", denom_bound, 1)
     Q = to_float(Q)
     cand = RatMatrix(len(Q), tuple(_best_rational(q, denom_bound) for q in Q.ravel().tolist()))
     if not is_orthogonal(cand):

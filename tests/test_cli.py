@@ -239,6 +239,17 @@ def test_verify_rejects_non_square_matrix(tmp_path, capsys):
     assert '"rows" and "cols" must be equal and at least 1, got 2 and 3' in capsys.readouterr().err
 
 
+def test_bad_exact_seed_file_is_named(fixture_dir, tmp_path, capsys):
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    good.write_text('{"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}')
+    bad.write_text('{"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "x"]]}')
+    for seeds in (f"{good},{bad}", f"{bad},{good}"):
+        assert main(["hunt", str(fixture_dir / "s3.pat"), "--seeds", seeds]) == 2
+        err = capsys.readouterr().err
+        assert f"error: float matrix in {bad}: bad entry 'x' (line 2, column 2)" in err
+        assert str(good) not in err
+
+
 def test_non_square_exact_seed_file_exits_2(fixture_dir, tmp_path, capsys):
     seeds = tmp_path / "s.json"
     seeds.write_text('{"rows": 2, "cols": 3, "entries": [["1", "0", "0"], ["0", "1", "0"]]}')

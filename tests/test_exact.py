@@ -205,8 +205,9 @@ def test_det_quad_matrix(r3):
 
 
 # Q(sqrt2) entries with small a, b parts whose denominators differ, so that
-# det clears a different scale from each row; zeros are drawn often so that
-# zero pivots, row swaps and singular matrices occur in that domain too
+# det's one scale D, the least common denominator of the whole matrix, is
+# not each row's own; zeros are drawn often so that zero pivots, row swaps
+# and singular matrices occur in that domain too
 small_quads = st.one_of(
     st.just(QuadRational(0, 0)),
     st.builds(QuadRational, st.fractions(-3, 3, max_denominator=3), st.fractions(-3, 3, max_denominator=4)),
@@ -221,10 +222,14 @@ UNIT = QuadRational(1, 1)
     st.integers(1, 5).flatmap(
         lambda n: st.one_of(
             st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n),
+            # rationals whose row denominators differ, so D > 1 and D^n is divided out
+            st.lists(st.fractions(-3, 3, max_denominator=7), min_size=n * n, max_size=n * n),
             st.lists(small_quads, min_size=n * n, max_size=n * n),
         )
     )
 )
+# rows of coprime denominators 2, 3 and 5: D = 30 is no row's own
+@example([Fraction(1, 2), 1, Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3), 0, 1, Fraction(-3, 5), Fraction(1, 5)])
 # zero pivot at step 2 (row swap), and a singular matrix (row 2 = sqrt2 * row 1)
 @example([1, 1, 1, 1, 1, 2, S2, 0, 1])
 @example([1, S2, 0, S2, 2, 0, 0, 0, 1])

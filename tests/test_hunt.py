@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,16 @@ def test_classify_sides_are_plus_or_minus_one(pstar, q1):
     ev = classify_det_sign(pstar, cfg, seeds=[to_float(q1)], sides=())
     assert ev.verdict == ONLY_PLUS_FOUND
     assert ev.budgets["plus"]["restarts"] == ev.budgets["minus"]["restarts"] == 0
+
+
+def test_verdict_is_read_off_the_results(pstar, q1, q2):
+    cfg = SearchConfig(margin=0.01, restarts=1, max_iters=1)
+    ev = classify_det_sign(pstar, cfg, seeds=[to_float(q1), to_float(q2)], sides=())
+    assert ev.verdict == AMBIGUOUS_FOUND
+    assert replace(ev, minus_result=None).verdict == ONLY_PLUS_FOUND
+    assert replace(ev, plus_result=None).verdict == ONLY_MINUS_FOUND
+    assert replace(ev, plus_result=None, minus_result=None).verdict == NONE_FOUND
+    assert replace(ev, plus_result=None).to_json_dict()["verdict"] == ONLY_MINUS_FOUND
 
 
 def test_classify_sides_may_be_any_iterable(s3):

@@ -24,25 +24,46 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def isfinite_calls(tree: ast.Module) -> list:
-    """(line, enclosing function) of every np.isfinite call, by innermost function."""
+def calls_named(tree: ast.Module, name: str, module: str | None = None) -> list:
+    """(line, enclosing function) of every call of name, by innermost
+    function: spelled module.name if module is given, else name or x.name."""
     calls = []
+
+    def spelling(f) -> tuple:
+        if isinstance(f, ast.Attribute):
+            return f.attr, f.value.id if isinstance(f.value, ast.Name) else None
+        return (f.id, None) if isinstance(f, ast.Name) else (None, None)
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "isfinite" \
-                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "np":
-                calls.append((child.lineno, function))
+            if isinstance(child, ast.Call):
+                called, owner = spelling(child.func)
+                if called == name and module in (None, owner):
+                    calls.append((child.lineno, function))
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
 
     visit(tree, None)
     return calls
 
 
+def package_calls(name: str, module: str | None = None) -> list:
+    """(file, enclosing function, line) of every call of name in the package."""
+    return [(p.name, function, line) for p in sorted(PACKAGE.glob("*.py"))
+            for line, function in calls_named(ast.parse(p.read_text()), name, module)]
+
+
 def test_only_to_float_checks_finiteness():
     # signpat.to_float is the one float boundary; a finiteness check anywhere
     # else in the package is a second copy of it
-    calls = [(p.name, function, line) for p in sorted(PACKAGE.glob("*.py"))
-             for line, function in isfinite_calls(ast.parse(p.read_text()))]
+    calls = package_calls("isfinite", "np")
     assert [c for c in calls if c[:2] != ("signpat.py", "to_float")] == []
     assert [c[:2] for c in calls] == [("signpat.py", "to_float")]
+
+
+def test_only_scaled_computes_a_denominator():
+    # exact._scaled is the one scaling rule of the exact kernel (D*A, D the
+    # least common denominator of all entries); an lcm anywhere else in the
+    # package is a second rule
+    calls = package_calls("lcm")
+    assert [c for c in calls if c[:2] != ("exact.py", "_scaled")] == []
+    assert {c[:2] for c in calls} == {("exact.py", "_scaled")}

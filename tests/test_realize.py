@@ -565,6 +565,18 @@ def test_float_bound_is_a_type_error():
             SearchConfig(denom_bound=bound)
 
 
+@pytest.mark.parametrize("name", ["restarts", "max_iters", "rng_seed"])
+def test_search_config_counts_are_integers(name):
+    for value in (3, np.int64(3), np.int32(3), np.uint16(3)):
+        cfg = SearchConfig(**{name: value})
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 3
+    for value in (2.5, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            SearchConfig(**{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+        SearchConfig(**{name: np.int64(-1)})
+
+
 def test_certify_validates_input():
     with pytest.raises(ValueError):
         rational_certify(np.eye(3), 0)
