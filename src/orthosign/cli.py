@@ -3,9 +3,12 @@
 Subcommands: verify, pattern, realize, hunt, census, fixtures.  Exit codes
 follow verifier conventions: 0 for an affirmative finding, 1 for a negative
 mathematical finding (not orthogonal, nothing found, check failed), 2 for
-usage or input errors, 141 when the output's reader closes early.  --json
-emits a machine-readable report; identical invocations with the same --seed
-produce byte-identical JSON.
+usage or input errors, 141 when the output's reader closes early.
+
+Each subcommand's handler returns one report twice over, as a JSON object
+and as text lines; main alone writes it, as JSON under --json and as the
+lines otherwise.  Identical invocations with the same --seed produce
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures as fixture_catalog
-from .exact import ParseError, det_sign, is_orthogonal, load_json, parse_matrix_json
+from .exact import ParseError, det_sign, is_orthogonal, load_json, matrix_from_jsonable, parse_matrix_json
 from .hunt import CensusAmbiguityError, census, census_default_config, classify_det_sign
 from .realize import SearchConfig, search_realization
-from .signpat import SignPattern, UnsupportedOrderError, necessary_check, sign_pattern_of, to_float
+from .signpat import SignPattern, necessary_check, sign_pattern_of, to_float
 
 
 def render_json(obj) -> str:
@@ -47,15 +50,14 @@ def load_exact_matrix(path: str):
 
 def load_float_matrix(path: str) -> np.ndarray:
     """Accept either the exact JSON format or a plain nested array of numbers."""
-    text = _read_text(path)
-    obj = load_json(text, f" in {path}")
+    obj = load_json(_read_text(path), f" in {path}")
     # checked by hand: numpy would read true and "1" as 1.0
     if not isinstance(obj, dict) and not (
             isinstance(obj, list) and obj and all(isinstance(row, list) and len(row) == len(obj)
                                                   and all(type(v) in (int, float) for v in row) for row in obj)):
         raise ParseError(f"float matrix in {path} must be a square nested array of numbers")
     try:
-        M = parse_matrix_json(text) if isinstance(obj, dict) else obj
+        M = matrix_from_jsonable(obj) if isinstance(obj, dict) else obj
     except ParseError as e:  # an exact-format seed: name its file
         raise ParseError(f"float matrix in {path}: {e}") from None
     try:
@@ -85,11 +87,6 @@ def _format_float(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _print_matrix(Q: np.ndarray, out):
-    for row in Q:
-        print("  " + "  ".join(f"{v: .12g}" for v in row), file=out)
-
-
 def _describe_failure(f) -> str:
     axis = "row" if f.axis == "row" else "column"
     if f.i == f.j:
@@ -111,59 +108,44 @@ def _result_lines(tag: str, res) -> list:
     return lines
 
 
-def cmd_verify(args, out) -> int:
+# Each cmd_* returns (exit code, JSON report, text lines); main writes one of the two.
+
+def cmd_verify(args):
     M = load_exact_matrix(args.matrix)
     ortho = is_orthogonal(M)
     ds = det_sign(M)
-    pat = sign_pattern_of(M)
-    if args.json:
-        out.write(render_json({
-            "orthogonal": ortho,
-            "det_sign": ds,
-            "sign_pattern": pat.to_text().splitlines(),
-        }))
-    else:
-        print(f"orthogonal: {str(ortho).lower()}", file=out)
-        print(f"det_sign: {ds:+d}" if ds else "det_sign: 0", file=out)
-        print("sign pattern:", file=out)
-        print(pat.to_text(), file=out)
-    return 0 if ortho else 1
+    pat = sign_pattern_of(M).to_text().splitlines()
+    report = {"orthogonal": ortho, "det_sign": ds, "sign_pattern": pat}
+    lines = [f"orthogonal: {str(ortho).lower()}", f"det_sign: {ds:+d}" if ds else "det_sign: 0", "sign pattern:", *pat]
+    return (0 if ortho else 1), report, lines
 
 
-def cmd_pattern(args, out) -> int:
+def cmd_pattern(args):
     S = load_pattern(args.pattern)
-    report = necessary_check(S)
-    if args.json:
-        out.write(render_json({"pattern": S.to_text().splitlines(), **report.to_json_dict()}))
-    else:
-        print(f"pass: {str(report.passed).lower()}", file=out)
-        for f in report.failures:
-            print(f"  {_describe_failure(f)}", file=out)
-    return 0 if report.passed else 1
+    check = necessary_check(S)
+    report = {"pattern": S.to_text().splitlines(), **check.to_json_dict()}
+    lines = [f"pass: {str(check.passed).lower()}", *(f"  {_describe_failure(f)}" for f in check.failures)]
+    return (0 if check.passed else 1), report, lines
 
 
-def cmd_realize(args, out) -> int:
+def cmd_realize(args):
     S = load_pattern(args.pattern)
     cfg = _config_from_args(args)
     target = {"+1": 1, "-1": -1, "any": "any"}[args.det]
     res = search_realization(S, target, cfg)
-    if args.json:
-        out.write(render_json({
-            "pattern": S.to_text().splitlines(),
-            "target": args.det,
-            "found": res is not None,
-            "result": None if res is None else res.to_json_dict(),
-        }))
-    elif res is None:
-        print("no realization found within budget (not an impossibility proof)", file=out)
-    else:
-        print("\n".join(_result_lines(f"{res.det_sign:+d}", res)), file=out)
-        print("matrix:", file=out)
-        _print_matrix(res.q, out)
-    return 0 if res is not None else 1
+    report = {
+        "pattern": S.to_text().splitlines(),
+        "target": args.det,
+        "found": res is not None,
+        "result": None if res is None else res.to_json_dict(),
+    }
+    if res is None:
+        return 1, report, ["no realization found within budget (not an impossibility proof)"]
+    matrix = ["  " + "  ".join(f"{v: .12g}" for v in row) for row in res.q]
+    return 0, report, [*_result_lines(f"{res.det_sign:+d}", res), "matrix:", *matrix]
 
 
-def cmd_hunt(args, out) -> int:
+def cmd_hunt(args):
     S = load_pattern(args.pattern)
     cfg = _config_from_args(args)
     paths = args.seeds.split(",") if args.seeds else []
@@ -171,45 +153,36 @@ def cmd_hunt(args, out) -> int:
         raise ParseError(f"--seeds has an empty file name in {args.seeds!r}")
     sides = {"any": (1, -1), "+1": (1,), "-1": (-1,)}[args.det]
     ev = classify_det_sign(S, cfg, seeds=[load_float_matrix(p) for p in paths], sides=sides)
-    if args.json:
-        out.write(render_json(ev.to_json_dict()))
-    else:
-        print(f"verdict: {ev.verdict}", file=out)
-        for tag, res in (("+1", ev.plus_result), ("-1", ev.minus_result)):
-            print("\n".join(_result_lines(tag, res)), file=out)
+    lines = [f"verdict: {ev.verdict}", *_result_lines("+1", ev.plus_result), *_result_lines("-1", ev.minus_result)]
     found = {1: ev.plus_result, -1: ev.minus_result}
-    return 0 if all(found[side] is not None for side in sides) else 1
+    return (0 if all(found[side] is not None for side in sides) else 1), ev.to_json_dict(), lines
 
 
-def cmd_census(args, out) -> int:
+def cmd_census(args):
     if args.order is None:
         raise ParseError("census requires --order")
     cfg = _config_from_args(args)
     report = census(args.order, cfg)
-    if args.json:
-        out.write(render_json(report.to_json_dict()))
-    else:
-        print(
-            f"census order {report.order}: {report.orbits_examined} orbits, "
-            f"{report.ambiguous_count} ambiguous, margin {report.margin}, "
-            f"{report.elapsed_seconds:.1f}s",
-            file=out,
-        )
-        width = max(len(r.pattern.to_text().replace("\n", "/")) for r in report.rows)
-        for r in report.rows:
-            name = r.pattern.to_text().replace("\n", "/").ljust(width)
-            if r.evidence is None:
-                detail = "pruned by necessary check"
-            else:
-                found = [res for res in (r.evidence.plus_result, r.evidence.minus_result) if res is not None]
-                detail = "; ".join(
-                    f"det {res.det_sign:+d} residual {res.ortho_residual:.1e}" for res in found
-                ) or "searched, nothing found"
-            print(f"  {name}  {r.verdict:<15} {detail}", file=out)
-    return 0
+    lines = [
+        f"census order {report.order}: {report.orbits_examined} orbits, "
+        f"{report.ambiguous_count} ambiguous, margin {report.margin}, "
+        f"{report.elapsed_seconds:.1f}s"
+    ]
+    width = max(len(r.pattern.to_text().replace("\n", "/")) for r in report.rows)
+    for r in report.rows:
+        name = r.pattern.to_text().replace("\n", "/").ljust(width)
+        if r.evidence is None:
+            detail = "pruned by necessary check"
+        else:
+            found = [res for res in (r.evidence.plus_result, r.evidence.minus_result) if res is not None]
+            detail = "; ".join(
+                f"det {res.det_sign:+d} residual {res.ortho_residual:.1e}" for res in found
+            ) or "searched, nothing found"
+        lines.append(f"  {name}  {r.verdict:<15} {detail}")
+    return 0, report.to_json_dict(), lines
 
 
-def cmd_fixtures(args, out) -> int:
+def cmd_fixtures(args):
     path = target = Path(args.out)
     written = []
     try:
@@ -220,12 +193,7 @@ def cmd_fixtures(args, out) -> int:
             written.append(str(path))
     except OSError as e:
         raise ParseError(f"cannot write {path}: {e.strerror}") from None
-    if args.json:
-        out.write(render_json({"written": written}))
-    else:
-        for p in written:
-            print(f"wrote {p}", file=out)
-    return 0
+    return 0, {"written": written}, [f"wrote {p}" for p in written]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +248,8 @@ def main(argv=None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args, out)
+        code, report, lines = args.handler(args)
+        out.write(render_json(report) if args.json else "".join(f"{line}\n" for line in lines))
         out.flush()
         return code
     except BrokenPipeError:
@@ -291,10 +260,10 @@ def main(argv=None, out=None) -> int:
             os.close(devnull)
         return 141
     except CensusAmbiguityError as e:
-        print(f"CENSUS FAILURE: {e}", file=sys.stderr)
+        sys.stderr.write(f"CENSUS FAILURE: {e}\n")
         return 1
-    except (ParseError, UnsupportedOrderError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except ValueError as e:  # ParseError and UnsupportedOrderError among them
+        sys.stderr.write(f"error: {e}\n")
         return 2
 
 

@@ -36,7 +36,8 @@ from typing import Sequence
 
 
 class ParseError(ValueError):
-    """Malformed matrix/pattern input, with a best-effort source location."""
+    """Malformed matrix/pattern input; line and col, when given, are a
+    position in the input text."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         self.line = line
@@ -398,7 +399,12 @@ def format_entry(x) -> str:
 
 def parse_matrix_json(text: str) -> ExactMatrix:
     """Parse the exact matrix JSON format; returns RatMatrix or QuadMatrix."""
-    obj = load_json(text)
+    return matrix_from_jsonable(load_json(text))
+
+
+def matrix_from_jsonable(obj) -> ExactMatrix:
+    """The exact matrix of a decoded JSON object in the exact matrix format;
+    an entry's error names its place in "entries", as (row i, entry j)."""
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise ParseError('exact matrix JSON must be an object with "rows", "cols" and "entries"')
     rows, cols, grid = obj["rows"], obj["cols"], obj["entries"]
@@ -413,14 +419,14 @@ def parse_matrix_json(text: str) -> ExactMatrix:
     quad = False
     for i, r in enumerate(grid):
         if not isinstance(r, list) or len(r) != cols:
-            raise ParseError(f"row {i + 1} must be a list of {cols} entry strings", line=i + 1)
+            raise ParseError(f"row {i + 1} must be a list of {cols} entry strings")
         for j, s in enumerate(r):
-            if not isinstance(s, str):
-                raise ParseError(f"entry must be a string, got {type(s).__name__}", line=i + 1, col=j + 1)
             try:
+                if not isinstance(s, str):
+                    raise ParseError(f"entry must be a string, got {type(s).__name__}")
                 v = parse_entry(s)
             except ParseError as e:
-                raise ParseError(str(e), line=i + 1, col=j + 1) from None
+                raise ParseError(f"{e} (row {i + 1}, entry {j + 1})") from None
             quad = quad or isinstance(v, QuadRational)
             parsed.append(v)
     return (QuadMatrix if quad else RatMatrix)(rows, tuple(parsed))

@@ -48,18 +48,26 @@ class SignPattern(SquareMatrix):
 
     @classmethod
     def from_text(cls, text: str) -> "SignPattern":
-        """Parse the character-grid format: one row per line, entries +, - or 0."""
-        lines = [ln.strip() for ln in text.strip().splitlines()]
-        if not lines:
+        """Parse the character-grid format: one row per line, entries +, - or 0,
+        blank lines only before and after the grid.  Errors give the line and
+        column in text."""
+        lines = text.splitlines()
+        rows = [i for i, ln in enumerate(lines) if ln.strip()]
+        if not rows:
             raise ParseError("empty pattern")
-        n = len(lines)
+        for i, k in zip(rows, rows[1:]):
+            if k > i + 1:
+                raise ParseError("blank line inside the pattern", line=i + 2)
+        n = len(rows)
         entries = []
-        for i, ln in enumerate(lines):
-            if len(ln) != n:
-                raise ParseError(f"pattern must be square: row has {len(ln)} entries, expected {n}", line=i + 1)
-            for j, ch in enumerate(ln):
+        for i in rows:
+            ln = lines[i]
+            cells = ln.strip()
+            if len(cells) != n:
+                raise ParseError(f"pattern must be square: row has {len(cells)} entries, expected {n}", line=i + 1)
+            for j, ch in enumerate(cells, len(ln) - len(ln.lstrip()) + 1):
                 if ch not in _SIGN_OF_CHAR:
-                    raise ParseError(f"bad pattern character {ch!r}", line=i + 1, col=j + 1)
+                    raise ParseError(f"bad pattern character {ch!r}", line=i + 1, col=j)
                 entries.append(_SIGN_OF_CHAR[ch])
         return cls(n, tuple(entries))
 
@@ -172,21 +180,7 @@ def waters_forced_sign(n: int) -> int:
 
 def perm_sign(perm) -> int:
     """Parity of a permutation given as a tuple of images of 0..n-1."""
-    n = len(perm)
-    seen = [False] * n
-    sign = 1
-    for s in range(n):
-        if seen[s]:
-            continue
-        length = 0
-        i = s
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return (-1) ** sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
 
 
 @dataclass(frozen=True)
@@ -231,12 +225,7 @@ class GroupElement:
         return source, tuple(a * b for a in self.row_signs for b in self.col_signs)
 
     def det_sign_factor(self) -> int:
-        f = perm_sign(self.row_perm) * perm_sign(self.col_perm)
-        for s in self.row_signs:
-            f *= s
-        for s in self.col_signs:
-            f *= s
-        return f
+        return math.prod((perm_sign(self.row_perm), perm_sign(self.col_perm), *self.row_signs, *self.col_signs))
 
 
 def _generators(n: int) -> list:

@@ -175,7 +175,7 @@ def test_malformed_matrix_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"rows": 1, "cols": 1, "entries": [["1/x"]]}')
     assert main(["verify", str(bad)]) == 2
-    assert "line 1" in capsys.readouterr().err
+    assert "(row 1, entry 1)" in capsys.readouterr().err
 
 
 def test_ragged_float_seed_file(fixture_dir, tmp_path, capsys):
@@ -246,7 +246,7 @@ def test_bad_exact_seed_file_is_named(fixture_dir, tmp_path, capsys):
     for seeds in (f"{good},{bad}", f"{bad},{good}"):
         assert main(["hunt", str(fixture_dir / "s3.pat"), "--seeds", seeds]) == 2
         err = capsys.readouterr().err
-        assert f"error: float matrix in {bad}: bad entry 'x' (line 2, column 2)" in err
+        assert f"error: float matrix in {bad}: bad entry 'x' (row 2, entry 2)" in err
         assert str(good) not in err
 
 
@@ -262,7 +262,7 @@ def test_integers_beyond_the_digit_limit_exit_2(fixture_dir, tmp_path, capsys, i
     path = tmp_path / "m.json"
     path.write_text('{"rows": 1, "cols": 1, "entries": [["%s"]]}' % big)
     assert main(["verify", str(path)]) == 2
-    assert "too many digits (line 1, column 1)" in capsys.readouterr().err
+    assert "too many digits (row 1, entry 1)" in capsys.readouterr().err
     path.write_text("[[1, 0],\n [0, %s]]" % big)
     assert main(["hunt", str(fixture_dir / "s3.pat"), "--seeds", str(path)]) == 2
     err = capsys.readouterr().err

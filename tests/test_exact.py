@@ -494,8 +494,9 @@ def test_parse_matrix_json_reports_location():
     text = '{"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "oops"]]}'
     with pytest.raises(ParseError) as exc:
         parse_matrix_json(text)
-    assert exc.value.line == 2
-    assert exc.value.col == 2
+    # a place in "entries", not a file position
+    assert str(exc.value) == "bad entry 'oops' (row 2, entry 2)"
+    assert (exc.value.line, exc.value.col) == (None, None)
 
 
 def test_parse_matrix_json_rejects_non_square_and_empty_shapes():
@@ -509,7 +510,8 @@ def test_parse_reports_integers_beyond_the_digit_limit(int_digit_limit):
     big = "1" + "0" * int_digit_limit
     with pytest.raises(ParseError, match="an integer in it has too many digits") as exc:
         parse_matrix_json('{"rows": 2, "cols": 2,\n "entries": [["1", "0"],\n  ["0", "%s"]]}' % big)
-    assert (exc.value.line, exc.value.col) == (2, 2)
+    assert "(row 2, entry 2)" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (None, None)
     with pytest.raises(ParseError, match=f"a number has more than {int_digit_limit} digits") as exc:
         parse_matrix_json('{"entries": [["1%s"]],\n "rows": 1, "cols": -%s}' % (big, big))
     assert (exc.value.line, exc.value.col) == (2, 21)

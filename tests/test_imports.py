@@ -67,3 +67,14 @@ def test_only_scaled_computes_a_denominator():
     calls = package_calls("lcm")
     assert [c for c in calls if c[:2] != ("exact.py", "_scaled")] == []
     assert {c[:2] for c in calls} == {("exact.py", "_scaled")}
+
+
+def test_only_cli_main_writes_output():
+    # each subcommand returns one report and main alone writes it, as JSON or
+    # as text lines; a print or a write anywhere else in cli.py is a second
+    # output path
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert calls_named(tree, "print") == []
+    writes = calls_named(tree, "write")
+    assert [w for w in writes if w[1] != "main"] == []
+    assert writes

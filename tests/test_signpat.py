@@ -106,6 +106,14 @@ def test_pattern_text_errors_carry_location():
     assert exc.value.col == 2
     with pytest.raises(ParseError):
         SignPattern.from_text("+-\n+")
+    # lines and columns count in the text as written, blank lines and indent included
+    for text, where in [("\n\n+-\n-x\n", (4, 2)), ("  +-\n  -x\n", (2, 4)), ("+-\n\n-+\n", (2, None))]:
+        with pytest.raises(ParseError) as exc:
+            SignPattern.from_text(text)
+        assert (exc.value.line, exc.value.col) == where
+    with pytest.raises(ParseError, match=r"blank line inside the pattern \(line 2\)"):
+        SignPattern.from_text("+-\n\n-+\n")
+    assert SignPattern.from_text("\n  +-\n  -+  \n\n") == SignPattern.from_text("+-\n-+")
 
 
 # -- sign_pattern_of -----------------------------------------------------------
@@ -232,9 +240,13 @@ def test_waters_forced_sign_alternates():
 # -- group elements and the action ----------------------------------------------
 
 def test_perm_sign():
-    assert perm_sign((0, 1, 2)) == 1
-    assert perm_sign((1, 0, 2)) == -1
-    assert perm_sign((1, 2, 0)) == 1
+    # every permutation of orders 1-6, as a tuple and as a numpy array, against
+    # the determinant of its permutation matrix
+    for n in range(1, 7):
+        for perm in itertools.permutations(range(n)):
+            want = int(np.sign(np.linalg.det(np.eye(n)[list(perm)])))
+            assert perm_sign(perm) == want
+            assert perm_sign(np.array(perm)) == want
 
 
 def test_identity_action(pstar):
