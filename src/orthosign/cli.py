@@ -151,8 +151,12 @@ def cmd_hunt(args):
     paths = args.seeds.split(",") if args.seeds else []
     if "" in paths:
         raise ParseError(f"--seeds has an empty file name in {args.seeds!r}")
+    seeds = [load_float_matrix(p) for p in paths]
+    for path, Q in zip(paths, seeds):
+        if len(Q) != S.n:
+            raise ParseError(f"float matrix in {path} has order {len(Q)}, not the pattern's order {S.n}")
     sides = {"any": (1, -1), "+1": (1,), "-1": (-1,)}[args.det]
-    ev = classify_det_sign(S, cfg, seeds=[load_float_matrix(p) for p in paths], sides=sides)
+    ev = classify_det_sign(S, cfg, seeds=seeds, sides=sides)
     lines = [f"verdict: {ev.verdict}", *_result_lines("+1", ev.plus_result), *_result_lines("-1", ev.minus_result)]
     found = {1: ev.plus_result, -1: ev.minus_result}
     return (0 if all(found[side] is not None for side in sides) else 1), ev.to_json_dict(), lines

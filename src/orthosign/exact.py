@@ -8,7 +8,10 @@ subclass only converts its entries; SignPattern, RatMatrix and QuadMatrix
 are the ones built.  The one exact-matrix type, ExactMatrix, comes in two
 scalar domains: RatMatrix over Q and QuadMatrix over Q(sqrt2); an entry
 that is already a Fraction is kept, not rebuilt.  sgn is the one sign
-function for exact scalars.
+function for exact scalars.  QuadRational is a value, not an arithmetic:
+it parses, formats, compares, hashes, negates and converts to float, and
+the ring _Z2 below is the one place where elements of Q(sqrt2) are added
+and multiplied.
 
 The two checks read one scaled matrix, and _scaled alone computes it:
 D*A, D the least common denominator of all of A's entries, which turns
@@ -66,6 +69,20 @@ def sgn(x) -> int:
     return 0
 
 
+def _integer(name: str, value, least: int) -> int:
+    """value as a Python int (a numpy integer too, not a bool); name's
+    message refuses any other type, or a value below least."""
+    try:
+        if isinstance(value, bool):  # an int subclass, refused like any non-integer
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if value < least:
+        raise ValueError(f"{name} must be " + ("nonnegative" if least == 0 else f"at least {least}"))
+    return value
+
+
 def _rational(x) -> Fraction:
     """x as a Fraction; a Fraction is kept, not rebuilt."""
     return x if type(x) is Fraction else Fraction(x)
@@ -80,7 +97,8 @@ class QuadRational:
     """Element a + b*sqrt(2) of the real quadratic field Q(sqrt2).
 
     Equality is component-wise, which is exact because sqrt(2) is irrational:
-    a + b*sqrt(2) = 0 iff a = b = 0.
+    a + b*sqrt(2) = 0 iff a = b = 0.  A value: its one operator is negation,
+    and _Z2 does the arithmetic.
     """
 
     a: Fraction
@@ -97,25 +115,6 @@ class QuadRational:
         if isinstance(x, (int, Fraction)):
             return QuadRational(x, 0)
         raise TypeError(f"cannot coerce {type(x).__name__} into Q(sqrt2)")
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return QuadRational(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return QuadRational(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return QuadRational(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return QuadRational(-self.a, -self.b)
@@ -158,8 +157,7 @@ class SquareMatrix:
     entries: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"matrix order must be at least 1, got {self.n}")
+        object.__setattr__(self, "n", _integer("matrix order", self.n, 1))
         entries = tuple(self.entries)
         if len(entries) != self.n * self.n:
             raise ValueError(f"expected {self.n * self.n} entries for order {self.n}, got {len(entries)}")

@@ -49,7 +49,6 @@ refine_from's seed) goes through signpat.to_float, the one float boundary.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +56,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .exact import RatMatrix, is_orthogonal, matrix_to_jsonable
+from .exact import RatMatrix, _integer, is_orthogonal, matrix_to_jsonable
 from .signpat import SignPattern, necessary_check, perm_sign, sign_pattern_of, to_float
 
 TARGET_ANY = "any"
@@ -70,18 +69,6 @@ def _normalize_target(target: Target):
     if target == TARGET_ANY:
         return None
     raise ValueError(f"determinant target must be +1, -1 or 'any', got {target!r}")
-
-
-def _integer(name: str, value, least: int) -> int:
-    """value as a Python int (a numpy integer too); name's message refuses
-    any other type, or a value below least."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
-    if value < least:
-        raise ValueError(f"{name} must be " + ("nonnegative" if least == 0 else f"at least {least}"))
-    return value
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import ExactMatrix, ParseError, SquareMatrix, sgn
+from .exact import ExactMatrix, ParseError, SquareMatrix, _integer, sgn
 
 _CHAR_OF_SIGN = {1: "+", -1: "-", 0: "0"}
 _SIGN_OF_CHAR = {"+": 1, "-": -1, "0": 0}
@@ -244,7 +244,8 @@ def _generators(n: int) -> list:
 
 def act(g: GroupElement, X):
     """Apply a symmetry through g.index_map to a SignPattern, an exact matrix
-    or a float matrix, read by to_float; a pattern or an exact matrix keeps its type."""
+    or a float matrix, read by to_float; a pattern or an exact matrix keeps
+    its type, its entries moved and negated where g flips a sign."""
     if isinstance(X, SquareMatrix):
         n = X.n
     else:
@@ -255,7 +256,7 @@ def act(g: GroupElement, X):
     source, sign = g.index_map
     if isinstance(X, np.ndarray):
         return (X.reshape(-1)[list(source)] * np.array(sign)).reshape(n, n)
-    return type(X)(n, tuple(X.entries[k] * s for k, s in zip(source, sign)))
+    return type(X)(n, tuple(X.entries[k] if s == 1 else -X.entries[k] for k, s in zip(source, sign)))
 
 
 _CANONICAL_MAX_ORDER = 4
@@ -318,8 +319,7 @@ def orbit_representatives(n: int) -> list:
     leaves every class labelled by the least class, so the least pattern,
     of its orbit.
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
+    n = _integer("matrix order", n, 1)
     if n > _CANONICAL_MAX_ORDER:
         raise UnsupportedOrderError(f"orbit enumeration supports order <= {_CANONICAL_MAX_ORDER}, got {n}")
     width = 3**n

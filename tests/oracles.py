@@ -2,10 +2,16 @@
 
 Everything here is deliberately written from scratch on plain Python data
 (lists of ints/Fractions, tuples of tuples) so it shares no code path with
-the package under test.  There are two exceptions.  The reference orbit
-enumeration closes one orbit at a time with the package's orbit_of, over
-whole patterns, not row classes; orbit_of shares the group action and its
-generators with the row-class labeller.  The independent checks are the
+the package under test.  Its scalar for Q(sqrt2) is Sqrt2 from the
+benchmark's answer oracle, perfbench/oracle.py, which imports nothing from
+orthosign; it is loaded from its path with no bytecode written next to it,
+and sqrt2_of and package_rows carry scalars across to the package's value
+type QuadRational and back, by their parts a and b.
+
+There are two exceptions.  The reference orbit enumeration closes one
+orbit at a time with the package's orbit_of, over whole patterns, not row
+classes; orbit_of shares the group action and its generators with the
+row-class labeller.  The independent checks are the
 Burnside count and canonical_form on the labeller's output, and
 brute_force_orbit, every element of full_symmetry_group applied with
 apply_symmetry, on orbit_of itself.  The reference realization search is the
@@ -33,10 +39,44 @@ as given and never draws noise or group elements itself.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+
+def _load_benchmark_oracle():
+    """perfbench/oracle.py as a module, with no bytecode written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+_benchmark_oracle = _load_benchmark_oracle()
+Sqrt2 = _benchmark_oracle.Sqrt2
+sqrt2_sign = _benchmark_oracle.sign
+
+
+def sqrt2_of(x):
+    """An exact scalar of the package, int, Fraction or QuadRational, as a Sqrt2."""
+    return Sqrt2(x) if isinstance(x, (int, Fraction)) else Sqrt2(x.a, x.b)
+
+
+def package_rows(grid):
+    """grid with every Sqrt2 entry as the package's QuadRational; an int or
+    Fraction entry is kept as it is."""
+    from orthosign.exact import QuadRational
+
+    return [[QuadRational(x.a, x.b) if isinstance(x, Sqrt2) else x for x in row] for row in grid]
 
 
 def det_cofactor(rows):

@@ -250,6 +250,15 @@ def test_bad_exact_seed_file_is_named(fixture_dir, tmp_path, capsys):
         assert str(good) not in err
 
 
+def test_seed_file_of_the_wrong_order_is_named(fixture_dir, tmp_path, capsys):
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    good.write_text("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
+    bad.write_text('{"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}')
+    assert main(["hunt", str(fixture_dir / "s3.pat"), "--seeds", f"{good},{bad}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: float matrix in {bad} has order 2, not the pattern's order 3\n"
+
+
 def test_non_square_exact_seed_file_exits_2(fixture_dir, tmp_path, capsys):
     seeds = tmp_path / "s.json"
     seeds.write_text('{"rows": 2, "cols": 3, "entries": [["1", "0", "0"], ["0", "1", "0"]]}')

@@ -26,12 +26,16 @@ from orthosign.exact import (
 from orthosign.realize import to_float
 from orthosign.signpat import GroupElement, SignPattern, act, sign_pattern_of
 from oracles import (
+    Sqrt2,
     det_cofactor,
     exact_cayley,
     grid_scale,
     identity_grid,
     int_matmul,
+    package_rows,
     rational_matrix_to_grid,
+    sqrt2_of,
+    sqrt2_sign,
     transpose,
 )
 
@@ -50,24 +54,7 @@ def test_rational_canonicalization():
     assert Fraction(3, -6).numerator == -1
 
 
-# -- QuadRational field arithmetic -------------------------------------------
-
-def test_quad_multiplication_formula():
-    x = QuadRational(Fraction(1), Fraction(2))
-    y = QuadRational(Fraction(3), Fraction(-1))
-    # (1 + 2*sqrt2)(3 - sqrt2) = 3 - sqrt2 + 6*sqrt2 - 2*2 = -1 + 5*sqrt2
-    assert x * y == QuadRational(Fraction(-1), Fraction(5))
-
-
-@given(quads, quads)
-def test_quad_multiplication_commutes(x, y):
-    assert x * y == y * x
-
-
-@given(quads, quads, quads)
-def test_quad_multiplication_distributes(x, y, z):
-    assert x * (y + z) == x * y + x * z
-
+# -- QuadRational, a value: sign, equality, hash and float -------------------
 
 @given(quads)
 def test_quad_sign_matches_float(x):
@@ -123,13 +110,6 @@ def test_quad_float_survives_cancellation():
     assert sign_pattern_of(to_float(M)) == sign_pattern_of(M)
 
 
-def test_rational_embeds_into_quad():
-    x = QuadRational(Fraction(1, 2), Fraction(1, 3))
-    assert x + Fraction(1, 2) == QuadRational(1, Fraction(1, 3))
-    assert x * 2 == QuadRational(1, Fraction(2, 3))
-    assert Fraction(1, 2) - x == QuadRational(0, Fraction(-1, 3))
-
-
 # -- Gram product of q1, in big integers -------------------------------------
 
 def test_mat_mul_scaled_gram_of_q1(q1):
@@ -149,6 +129,12 @@ def test_matrix_rejects_bad_shape():
             domain.from_rows([[1, 2], [3, 4, 5], [6]])
         with pytest.raises(ValueError):
             domain.from_rows([[1, 2, 3], [4]])
+        # the order is an int: a float or a bool is refused, a numpy integer stored as int
+        for order, entries in ((2.0, (1, 0, 0, 1)), (True, (1,))):
+            with pytest.raises(TypeError, match=f"matrix order must be an integer, got {type(order).__name__}"):
+                domain(order, entries)
+        M = domain(np.int64(2), (1, 0, 0, 1))
+        assert type(M.n) is int and M.n == 2
 
 
 def test_rat_matrix_entries_are_fractions():
@@ -209,12 +195,12 @@ def test_det_quad_matrix(r3):
 # not each row's own; zeros are drawn often so that zero pivots, row swaps
 # and singular matrices occur in that domain too
 small_quads = st.one_of(
-    st.just(QuadRational(0, 0)),
-    st.builds(QuadRational, st.fractions(-3, 3, max_denominator=3), st.fractions(-3, 3, max_denominator=4)),
+    st.just(Sqrt2(0, 0)),
+    st.builds(Sqrt2, st.fractions(-3, 3, max_denominator=3), st.fractions(-3, 3, max_denominator=4)),
 )
-S2 = QuadRational(0, 1)
+S2 = Sqrt2(0, 1)
 # 1 + sqrt2, a unit of negative norm: 1^2 - 2 * 1^2 = -1
-UNIT = QuadRational(1, 1)
+UNIT = Sqrt2(1, 1)
 
 
 @settings(max_examples=120)
@@ -234,24 +220,24 @@ UNIT = QuadRational(1, 1)
 @example([1, 1, 1, 1, 1, 2, S2, 0, 1])
 @example([1, S2, 0, S2, 2, 0, 0, 0, 1])
 # first pivot 1 + sqrt2 of norm -1, which step 2 divides by
-@example([UNIT, 1, S2, 1, QuadRational(1, -1), Fraction(1, 3), S2, 2, QuadRational(Fraction(1, 2), 1)])
+@example([UNIT, 1, S2, 1, Sqrt2(1, -1), Fraction(1, 3), S2, 2, Sqrt2(Fraction(1, 2), 1)])
 # zero first pivot: row 1 swaps with row 2
-@example([0, S2, 1, S2, 1, 0, 1, Fraction(1, 2), QuadRational(Fraction(2, 3), Fraction(-1, 4))])
+@example([0, S2, 1, S2, 1, 0, 1, Fraction(1, 2), Sqrt2(Fraction(2, 3), Fraction(-1, 4))])
 def test_det_bareiss_matches_cofactor(flat):
     n = int(len(flat) ** 0.5)
     rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    domain = QuadMatrix if any(isinstance(e, QuadRational) for e in flat) else RatMatrix
-    assert det(domain.from_rows(rows)) == det_cofactor(rows)
+    domain = QuadMatrix if any(isinstance(e, Sqrt2) for e in flat) else RatMatrix
+    assert sqrt2_of(det(domain.from_rows(package_rows(rows)))) == det_cofactor(rows)
 
 
 def test_det_of_a_givens_rotation_times_q2(q2):
     """A 45-degree rotation in the plane of the first two coordinates times
     q2, exactly: orthogonal with determinant -1, its entries a + b*sqrt2
     with denominators up to 2 * 20014."""
-    h = QuadRational(0, Fraction(1, 2))
-    G = [[QuadRational(int(i == j), 0) for j in range(7)] for i in range(7)]
+    h = Sqrt2(0, Fraction(1, 2))
+    G = [[Sqrt2(int(i == j), 0) for j in range(7)] for i in range(7)]
     G[0][0], G[0][1], G[1][0], G[1][1] = h, -h, h, h
-    A = QuadMatrix.from_rows(int_matmul(G, rational_matrix_to_grid(q2)))
+    A = QuadMatrix.from_rows(package_rows(int_matmul(G, rational_matrix_to_grid(q2))))
     assert is_orthogonal(A)
     assert det(A) == -1
     assert det_sign(A) == -1
@@ -295,9 +281,9 @@ def gram_is_identity(grid):
 
 def givens_product(rng, n, count):
     """Product of `count` 45-degree Givens rotations, an orthogonal matrix
-    over Q(sqrt2); cos 45 = sin 45 = sqrt2/2."""
-    h = QuadRational(0, Fraction(1, 2))
-    Q = [[QuadRational(int(i == j), 0) for j in range(n)] for i in range(n)]
+    over Q(sqrt2) with Sqrt2 entries; cos 45 = sin 45 = sqrt2/2."""
+    h = Sqrt2(0, Fraction(1, 2))
+    Q = [[Sqrt2(int(i == j), 0) for j in range(n)] for i in range(n)]
     for _ in range(count):
         i, j = rng.sample(range(n), 2)
         Q[i], Q[j] = [h * a - h * b for a, b in zip(Q[i], Q[j])], [h * a + h * b for a, b in zip(Q[i], Q[j])]
@@ -309,7 +295,7 @@ def nudged(grid, i, j, rng):
     norm grows by 2 d c + d^2 > 0, so the result is never orthogonal."""
     c = grid[i][j]
     out = [list(row) for row in grid]
-    out[i][j] = c + (sgn(c) or 1) * Fraction(1, rng.randint(2, 64))
+    out[i][j] = c + (sqrt2_sign(c) or 1) * Fraction(1, rng.randint(2, 64))
     return out
 
 
@@ -349,7 +335,7 @@ def test_is_orthogonal_matches_gram_oracle(n):
             cases.append((column_copied(Q, *rng.sample(range(n), 2)), False))
         for grid, want in cases:
             assert gram_is_identity(grid) is want
-            assert is_orthogonal(domain.from_rows(grid)) is want
+            assert is_orthogonal(domain.from_rows(package_rows(grid))) is want
 
 
 def test_is_orthogonal_order_one_and_shape():
@@ -365,10 +351,10 @@ def test_is_orthogonal_order_one_and_shape():
 def test_is_orthogonal_checks_the_sqrt2_part():
     # (1/3 + 2/3 sqrt2)^2 = 1 + 4/9 sqrt2: the rational part of each column
     # norm is 1, the sqrt2 part is not 0
-    x = QuadRational(Fraction(1, 3), Fraction(2, 3))
-    assert not is_orthogonal(QuadMatrix.from_rows([[x]]))
+    x = Sqrt2(Fraction(1, 3), Fraction(2, 3))
+    assert not is_orthogonal(QuadMatrix.from_rows(package_rows([[x]])))
     c, s = Fraction(3, 5), Fraction(4, 5)
-    A = QuadMatrix.from_rows([[c * x, -s * x], [s * x, c * x]])
+    A = QuadMatrix.from_rows(package_rows([[c * x, -s * x], [s * x, c * x]]))
     assert not is_orthogonal(A)
     assert is_orthogonal(QuadMatrix.from_rows([[c, -s], [s, c]]))
 

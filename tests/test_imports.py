@@ -78,3 +78,32 @@ def test_only_cli_main_writes_output():
     writes = calls_named(tree, "write")
     assert [w for w in writes if w[1] != "main"] == []
     assert writes
+
+
+ARITHMETIC_DUNDERS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__floordiv__"}
+
+
+def arithmetic_dunders(tree: ast.Module) -> list:
+    """(class, name) of every binary arithmetic dunder a class body binds,
+    by def or by assignment such as __radd__ = __add__."""
+    found = []
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                found += [(cls.name, name) for name in names if name in ARITHMETIC_DUNDERS]
+    return found
+
+
+def test_only_z2_defines_arithmetic():
+    # exact._Z2 is the one Q(sqrt2) arithmetic, and QuadRational a value; an
+    # arithmetic operator on any other class is a second arithmetic
+    found = [(p.name, cls, name) for p in sorted(PACKAGE.glob("*.py"))
+             for cls, name in arithmetic_dunders(ast.parse(p.read_text()))]
+    assert [f for f in found if f[:2] != ("exact.py", "_Z2")] == []
+    assert {f[:2] for f in found} == {("exact.py", "_Z2")}

@@ -570,7 +570,7 @@ def test_search_config_counts_are_integers(name):
     for value in (3, np.int64(3), np.int32(3), np.uint16(3)):
         cfg = SearchConfig(**{name: value})
         assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 3
-    for value in (2.5, 3.0, np.float64(3.0), "3"):
+    for value in (2.5, 3.0, np.float64(3.0), "3", True):
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
             SearchConfig(**{name: value})
     with pytest.raises(ValueError, match=f"{name} must be nonnegative"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orthosign.exact import ParseError, RatMatrix
+from orthosign.exact import ParseError, QuadMatrix, QuadRational, RatMatrix
 from orthosign.signpat import (
     GroupElement,
     SignPattern,
@@ -33,6 +33,7 @@ from oracles import (
     random_group_element,
     reference_necessary_check,
     reference_orbit_representatives,
+    sqrt2_of,
 )
 
 sign_vectors = st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=6)
@@ -298,6 +299,20 @@ def test_action_preserves_orthogonality(q1, r3):
         assert is_orthogonal(act(g, M))
 
 
+def test_action_on_a_quad_matrix_matches_oracle(r3):
+    # act negates an exact entry where g flips its sign; the oracle multiplies
+    # by the signs, in the Sqrt2 scalar of its own
+    rng = random.Random(29)
+    grid = tuple(tuple(map(sqrt2_of, r3.row(i))) for i in range(r3.n))
+    for _ in range(30):
+        g = random_group_element(rng, r3.n)
+        M = act(g, r3)
+        expected = apply_symmetry(grid, g.row_signs, g.col_signs, g.row_perm, g.col_perm, g.transpose_flag)
+        assert type(M) is QuadMatrix
+        assert all(type(e) is QuadRational for e in M.entries)
+        assert tuple(map(sqrt2_of, M.entries)) == tuple(e for row in expected for e in row)
+
+
 def test_sign_pattern_act_equivariance():
     rng = random.Random(3)
     for _ in range(200):
@@ -397,6 +412,8 @@ def test_canonical_form_unsupported_order(pstar):
         orbit_representatives(pstar.n)
     with pytest.raises(ValueError, match="at least 1"):
         orbit_representatives(0)
+    with pytest.raises(TypeError, match="matrix order must be an integer, got float"):
+        orbit_representatives(2.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
